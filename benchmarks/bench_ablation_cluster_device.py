@@ -1,10 +1,10 @@
 """Ablation — device-resident cluster formation (the union-find kernels).
 
 The paper's Algorithm 4 builds ``T`` on the GPU but clusters on the
-host; after the build side is batched and sharded, the host components
+host; after the build side is batched and sharded, the host clustering
 pass is the last serial phase.  This bench compares the cluster phase on
-both sides across density regimes (eps sweep): the host CSR
-connected-components wall time versus the device union-find kernels'
+both sides across density regimes (eps sweep): the host union-find
+primitive's wall time versus the device union-find kernels'
 modeled device time (plus driver wall time and the round count the
 ``changed``-flag iteration needed), asserting at every density that the
 two paths produce bit-identical labels.  The artifact is the
@@ -41,7 +41,7 @@ def test_ablation_cluster_device(benchmark):
         last_table = table
 
         t0 = time.perf_counter()
-        host_labels = dbscan_from_table(table, MINPTS, impl="components")
+        host_labels = dbscan_from_table(table, MINPTS)
         host_s = time.perf_counter() - t0
 
         dres = device_cluster_table(
@@ -86,7 +86,7 @@ def test_ablation_cluster_device(benchmark):
              "device modeled ms", "device wall ms", "UF rounds"],
             rows,
             title="Ablation: device-resident cluster formation "
-            f"(SW1, minpts={MINPTS}; host components vs union-find kernels)",
+            f"(SW1, minpts={MINPTS}; host union-find vs device kernels)",
         )
     )
     save_json(

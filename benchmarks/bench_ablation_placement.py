@@ -10,12 +10,13 @@ each device count:
 * ``round-robin`` — the maximally scattered baseline.
 
 For each configuration the bench asserts the tentpole guarantees:
-labels bit-identical to the single-device components path, modeled
+labels bit-identical to the single-device table path, modeled
 multi-device makespan (builds pinned to devices, merge increments
-overlapped, finalize tail) strictly below the sequential-shard
-baseline, and — at the largest device count — locality's deduplicated
-collective halo volume strictly below round-robin's.  The artifact is
-the ``BENCH_placement.json`` baseline the CI smoke job checks.
+overlapped, finalize tail) strictly below the one-device run of the
+same executor (every build serialized), and — at the largest device
+count — locality's deduplicated collective halo volume strictly below
+round-robin's.  The artifact is the ``BENCH_placement.json`` baseline
+the CI smoke job checks.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ STRATEGIES = ["locality", "round-robin"]
 
 def test_ablation_placement(benchmark):
     pts = bench_points("SW1")
-    ref = HybridDBSCAN(dbscan_impl="components").fit(pts, EPS, MINPTS)
+    ref = HybridDBSCAN().fit(pts, EPS, MINPTS)
 
     # the sequential-shard baseline: same tile grid, one device
     base = cluster_sharded(

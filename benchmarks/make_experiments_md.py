@@ -252,7 +252,7 @@ def ablations() -> str:
          "absorbing injected transient faults"),
         ("BENCH_cluster_device", "device-resident cluster formation (extension)",
          "union-find label kernels replace the host DBSCAN pass; labels "
-         "bit-identical to the host components path at every density, "
+         "bit-identical to the host path at every density, "
          "round count grows with neighborhood density"),
         ("bandwidth_model", "bandwidth model (future work)",
          "device phase accelerates toward NVLink; saturates when compute-bound"),

@@ -44,14 +44,12 @@ from repro.core.sharding import (
     ShardStats,
     cluster_sharded,
     make_shard_fault_factory,
-    merge_shard_labels,
     plan_shards,
     quad_split_shard,
 )
 from repro.core.table_dbscan import (
     NOISE,
     dbscan_from_annotated_table,
-    dbscan_from_table_components,
     dbscan_from_table_expand,
 )
 from repro.core.variants import Variant, VariantSet
@@ -85,7 +83,6 @@ __all__ = [
     "ShardedResult",
     "cluster_sharded",
     "make_shard_fault_factory",
-    "merge_shard_labels",
     "plan_shards",
     "quad_split_shard",
     "EpsSweepResult",
@@ -98,7 +95,6 @@ __all__ = [
     "dbscan_from_table_device",
     "device_cluster_table",
     "dbscan_from_table_expand",
-    "dbscan_from_table_components",
     "dbscan_from_annotated_table",
     "Variant",
     "VariantSet",

@@ -4,10 +4,11 @@ The kernels (:mod:`repro.kernels.cluster_kernels`) do the work; this
 module owns the host-side protocol: upload ``T``, classify cores, iterate
 the union-find kernel until the device-side ``changed`` flag settles,
 attach border points, download labels, canonicalize.  The result is
-bit-identical to :func:`~repro.core.table_dbscan.dbscan_from_table_components`
-— both produce the same partition and noise set, and
-:func:`~repro.core.table_dbscan.canonicalize_labels` output depends only
-on the partition.
+bit-identical to the host primitive
+:func:`~repro.core.table_dbscan.cluster_edges` already before
+canonicalization: both converge to the minimum core id per component,
+and both attach each border point to its lowest-id core neighbor, so
+``raw_labels`` and ``attach`` equal the host's ``(raw, attach)``.
 
 The sharded path (:mod:`repro.core.sharding`) reuses this driver with an
 ``eligible`` mask restricting core status to interior points and reads

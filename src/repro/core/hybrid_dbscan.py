@@ -119,9 +119,6 @@ class HybridDBSCAN:
     backend:
         ``"vector"`` (scaled runs) or ``"interpreter"`` (small-input
         fidelity runs).
-    dbscan_impl:
-        ``"components"`` (vectorized, default) or ``"expand"``
-        (faithful Algorithm 1 adaptation).  Host path only.
     cluster_on:
         ``"host"`` (the paper's Algorithm 4: DBSCAN over ``T`` on the
         CPU) or ``"device"`` (cluster formation stays on the simulated
@@ -140,7 +137,6 @@ class HybridDBSCAN:
         kernel: Literal["global", "shared"] = "global",
         batch_config: Optional[BatchConfig] = None,
         backend: Literal["vector", "interpreter"] = "vector",
-        dbscan_impl: Literal["components", "expand"] = "components",
         cluster_on: Literal["host", "device"] = "host",
         block_dim: int = 256,
         sanitize: Optional[bool] = None,
@@ -151,7 +147,6 @@ class HybridDBSCAN:
         self.kernel = kernel
         self.batch_config = batch_config or BatchConfig()
         self.backend = backend
-        self.dbscan_impl = dbscan_impl
         self.cluster_on = cluster_on
         self.block_dim = block_dim
 
@@ -213,9 +208,7 @@ class HybridDBSCAN:
         """
         where = self.cluster_on if where is None else where
         if where == "host":
-            labels_sorted = dbscan_from_table(
-                table, minpts, impl=self.dbscan_impl
-            )
+            labels_sorted = dbscan_from_table(table, minpts)
         elif where == "device":
             from repro.core.device_cluster import dbscan_from_table_device
 

@@ -28,10 +28,11 @@ answers:
    immediately, cross edges are resolved as soon as the device owning
    the halo endpoint has classified it, and only the border attachment
    (a global minimum) plus canonicalization remain for the serial
-   finalize.  The final partition is independent of absorption order,
-   so labels stay bit-identical to the barrier merge
-   (:func:`repro.core.sharding.merge_shard_labels`) — property-tested
-   in ``tests/core/test_placement.py``.
+   finalize.  Both steps are the host clustering primitive of
+   :mod:`repro.core.table_dbscan`; the final partition is independent
+   of absorption order, so labels stay bit-identical to
+   :func:`~repro.core.table_dbscan.dbscan_from_table` on the whole
+   dataset — property-tested in ``tests/core/test_placement.py``.
 """
 
 from __future__ import annotations
@@ -42,9 +43,12 @@ from repro.core.sharding import (
     PLACEMENT_STRATEGIES,
     ShardLocalResult,
     ShardPlan,
-    _first_per_key,
 )
-from repro.core.table_dbscan import NOISE, canonicalize_labels
+from repro.core.table_dbscan import (
+    attach_borders,
+    canonicalize_labels,
+    union_edges,
+)
 
 __all__ = [
     "DevicePlacement",
@@ -305,41 +309,8 @@ def collective_exchange(
 # ----------------------------------------------------------------------
 # incremental merge
 # ----------------------------------------------------------------------
-class _UnionFind:
-    """Array union-find with path halving (merge-graph components)."""
-
-    def __init__(self, n: int):
-        self.parent = np.arange(n, dtype=np.int64)
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return int(x)
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # root at the lower id: deterministic, order-independent
-            if ra < rb:
-                self.parent[rb] = ra
-            else:
-                self.parent[ra] = rb
-
-    def union_edges(self, edges: np.ndarray) -> None:
-        for a, b in edges:
-            self.union(int(a), int(b))
-
-    def roots(self, ids: np.ndarray) -> np.ndarray:
-        return np.fromiter(
-            (self.find(int(i)) for i in ids), dtype=np.int64, count=len(ids)
-        )
-
-
 class IncrementalMerger:
-    """Order-independent incremental version of
-    :func:`repro.core.sharding.merge_shard_labels`.
+    """Order-independent incremental shard merge.
 
     :meth:`absorb` one :class:`ShardLocalResult` at a time — local
     component edges are unioned immediately and cross/border halo edges
@@ -349,15 +320,20 @@ class IncrementalMerger:
     it only runs the inherently global tail: border attachment (a
     minimum over *all* shards' candidates) and canonicalization.
 
-    The union-find partition after all absorptions equals the connected
-    components of the barrier merge graph regardless of absorption
-    order, and border attachment sees the identical candidate multiset
-    — so the labels are bit-identical to ``merge_shard_labels``.
+    Both halves are the host primitive's (:mod:`repro.core.table_dbscan`):
+    :func:`~repro.core.table_dbscan.union_edges` keeps a flat min-root
+    forest whose every entry is the lowest id of its component whatever
+    the absorption order, and
+    :func:`~repro.core.table_dbscan.attach_borders` sees the identical
+    candidate multiset — so the labels are bit-identical to
+    :func:`~repro.core.table_dbscan.dbscan_from_table` on the whole
+    dataset.
     """
 
     def __init__(self, n_points: int):
         self.n_points = int(n_points)
-        self._uf = _UnionFind(self.n_points)
+        #: flat min-root forest over the global core graph
+        self._parent = np.arange(self.n_points, dtype=np.int64)
         self._is_core = np.zeros(self.n_points, dtype=bool)
         #: interior classification has arrived for these points
         self._classified = np.zeros(self.n_points, dtype=bool)
@@ -373,26 +349,20 @@ class IncrementalMerger:
     def _resolve(self) -> None:
         """Process pending edges whose halo endpoint is now classified."""
         for attr, sink in (
-            ("_pending_cross", self._union_cross),
-            ("_pending_attach", self._keep_attach),
+            ("_pending_cross", self._union),
+            ("_pending_attach", self._attach_parts.append),
         ):
             pend = getattr(self, attr)
             if not len(pend):
                 continue
             ready = self._classified[pend[:, 1]]
             if ready.any():
-                sink(pend[ready])
+                done = pend[ready]
+                sink(done[self._is_core[done[:, 1]]])
                 setattr(self, attr, pend[~ready])
 
-    def _union_cross(self, edges: np.ndarray) -> None:
-        core = self._is_core[edges[:, 1]]
-        if core.any():
-            self._uf.union_edges(edges[core])
-
-    def _keep_attach(self, edges: np.ndarray) -> None:
-        core = self._is_core[edges[:, 1]]
-        if core.any():
-            self._attach_parts.append(edges[core])
+    def _union(self, edges: np.ndarray) -> None:
+        union_edges(self._parent, edges[:, 0], edges[:, 1])
 
     def absorb(self, lr: ShardLocalResult) -> None:
         """Fold one completed shard's reduction arrays into the merge."""
@@ -400,18 +370,14 @@ class IncrementalMerger:
             raise RuntimeError("merger already finalized")
         self._is_core[lr.interior_ids[lr.interior_core]] = True
         self._classified[lr.interior_ids] = True
-        if len(lr.comp_edges):
-            self._uf.union_edges(lr.comp_edges)
-        if len(lr.cross_edges):
-            self._pending_cross = np.concatenate(
-                [self._pending_cross, lr.cross_edges]
-            )
-        if len(lr.border_interior):
-            self._attach_parts.append(lr.border_interior)
-        if len(lr.border_halo_edges):
-            self._pending_attach = np.concatenate(
-                [self._pending_attach, lr.border_halo_edges]
-            )
+        self._union(lr.comp_edges)
+        self._pending_cross = np.concatenate(
+            [self._pending_cross, lr.cross_edges]
+        )
+        self._attach_parts.append(lr.border_interior)
+        self._pending_attach = np.concatenate(
+            [self._pending_attach, lr.border_halo_edges]
+        )
         self._resolve()
         self.n_absorbed += 1
 
@@ -422,18 +388,13 @@ class IncrementalMerger:
 
     def finalize(self) -> np.ndarray:
         """Global tail: attach borders, canonicalize.  Labels are in
-        plan (sorted) order — bit-identical to the barrier merge."""
+        plan (sorted) order."""
         self._finalized = True
         self._resolve()  # no-op when every shard has been absorbed
-        labels = np.full(self.n_points, NOISE, dtype=np.int64)
-        core_ids = np.flatnonzero(self._is_core)
-        if len(core_ids) == 0:
-            return labels
-        roots = self._uf.roots(core_ids)
-        _, comp = np.unique(roots, return_inverse=True)
-        labels[core_ids] = comp
-        if self._attach_parts:
-            att = np.concatenate(self._attach_parts)
-            u, v = _first_per_key(att[:, 0], att[:, 1])
-            labels[u] = labels[v]
-        return canonicalize_labels(labels)
+        att = np.concatenate(
+            [np.empty((0, 2), dtype=np.int64), *self._attach_parts]
+        )
+        raw, _ = attach_borders(
+            self._is_core, self._parent, att[:, 0], att[:, 1]
+        )
+        return canonicalize_labels(raw)

@@ -18,22 +18,26 @@ bound with a spatial sharding layer:
    per-batch overflow recovery, sanitizer) on its own bounded
    :class:`~repro.gpusim.device.Device`, so per-shard device residency
    never exceeds the configured per-shard capacity;
-4. **Local clustering** — components-DBSCAN runs per shard over the
-   interior core subgraph, and the shard table is then *dropped*: only
-   O(interior + halo-boundary) reduction arrays survive the shard;
-5. **Merge** — :func:`merge_shard_labels` unions shard-local components
-   through the core–core edges whose far endpoint lies in a halo
-   region, then re-attaches every border point to its lowest-id core
-   neighbor *globally*, so the output is bit-identical to the
-   single-device :func:`~repro.core.table_dbscan.dbscan_from_table`
-   components path.
+4. **Local clustering** — the host primitive
+   :func:`~repro.core.table_dbscan.cluster_edges` (or, with
+   ``cluster_on="device"``, the union-find label kernels) runs per shard
+   over the interior core subgraph, and the shard table is then
+   *dropped*: only O(interior + halo-boundary) reduction arrays survive
+   the shard;
+5. **Merge** — :class:`~repro.core.placement.IncrementalMerger` unions
+   shard-local components through the core–core edges whose far
+   endpoint lies in a halo region as each shard completes, then
+   re-attaches every border point to its lowest-id core neighbor
+   *globally*, so the output is bit-identical to the single-device
+   :func:`~repro.core.table_dbscan.dbscan_from_table`.
 
 Shards execute sequentially on the host (one bounded device at a time —
-the out-of-core property) and the multi-worker makespan is modeled with
-:func:`repro.hostsim.schedule_parallel`, the same simulate-mode idiom
-the S2 pipeline uses.  This is the stepping stone to true multi-device
-execution: the per-shard reduction arrays are exactly the messages a
-distributed merge would exchange.
+the out-of-core property).  One executor places them onto
+``ShardConfig.n_devices`` simulated devices and replays their
+concurrency as an event simulation (:func:`repro.hostsim.schedule_devices`,
+DESIGN.md §13); a single device is its one-device case.  The per-shard
+reduction arrays are exactly the messages a distributed merge would
+exchange.
 
 Shard-level fault recovery
 --------------------------
@@ -56,7 +60,7 @@ inside a supervised attempt loop (:func:`run_shard_supervised`):
   raises :class:`ShardFailureError` naming the shard.
 
 Completed shards' :class:`ShardLocalResult`\\ s are never recomputed, and
-:func:`merge_shard_labels` accepts the mixed parent/child shard set —
+the merge accepts the mixed parent/child shard set —
 labels stay bit-identical to the fault-free single-device run.  Fault
 injection composes through ``ShardConfig.fault_factory`` (one
 deterministic, seed-derived :class:`~repro.gpusim.faults.FaultInjector`
@@ -87,15 +91,13 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Literal, Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from repro.core.batching import (
     BatchConfig,
     RecoveryStats,
     build_neighbor_table,
 )
-from repro.core.table_dbscan import NOISE, canonicalize_labels
+from repro.core.table_dbscan import NOISE, cluster_edges
 from repro.gpusim.device import Device, DeviceSpec
 from repro.gpusim.faults import (
     FaultInjector,
@@ -130,7 +132,6 @@ __all__ = [
     "quad_split_shard",
     "run_shard",
     "run_shard_supervised",
-    "merge_shard_labels",
     "make_shard_fault_factory",
     "cluster_sharded",
 ]
@@ -151,8 +152,7 @@ class ShardConfig:
     shards_y: int = 2
     #: simulated shard workers for the hostsim makespan model
     n_workers: int = 2
-    #: simulated bounded devices shards are placed onto; > 1 switches
-    #: :func:`cluster_sharded` to the multi-device executor (per-device
+    #: simulated bounded devices shards are placed onto (per-device
     #: pinned queues, collective halo exchange, incremental halo merge
     #: overlapped with the builds — DESIGN.md §13)
     n_devices: int = 1
@@ -382,8 +382,8 @@ def quad_split_shard(plan: ShardPlan, shard: Shard) -> list[Shard]:
     rectangle of whole global grid cells): the child interiors partition
     the parent's interior, and each child's halo is the same one-cell
     :func:`exchange_halos` ring the planner computes — every halo
-    invariant, and therefore the bit-identical-labels property of
-    :func:`merge_shard_labels`, is preserved across the mixed
+    invariant, and therefore the bit-identical-labels property of the
+    merge, is preserved across the mixed
     parent/child shard set.
 
     Children with no interior points are dropped (same rule as
@@ -503,7 +503,7 @@ class ShardLocalResult:
     #: neighborhoods are complete)
     interior_core: np.ndarray
     #: (member, local-component-representative) edges over interior core
-    #: points — the shard-local components-DBSCAN result
+    #: points — the shard-local clustering result
     comp_edges: np.ndarray
     #: (interior-core, halo) candidate core–core edges; the halo
     #: endpoint's core status is resolved at merge time
@@ -513,14 +513,6 @@ class ShardLocalResult:
     #: (interior-non-core, halo neighbor) candidate attachments
     border_halo_edges: np.ndarray
     stats: ShardStats
-
-
-def _first_per_key(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each unique ``src``, the minimum ``dst`` (vectorized)."""
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    first = np.concatenate(([True], src[1:] != src[:-1]))
-    return src[first], dst[first]
 
 
 def run_shard(
@@ -547,7 +539,9 @@ def run_shard(
     ``cluster_on="device"`` runs shard-local cluster formation (core
     flags, component representatives, interior border attachment) with
     the union-find label kernels on the shard's own bounded ``device``
-    instead of the host CSR pass — same ``ShardLocalResult`` arrays,
+    instead of :func:`~repro.core.table_dbscan.cluster_edges` — both
+    return the same raw labels and attach targets, so the same
+    ``ShardLocalResult`` arrays,
     bit-identical merged labels.  Cross-shard candidate edges stay
     host-computed either way (they are merge bookkeeping, not
     clustering).
@@ -589,22 +583,20 @@ def run_shard(
     stats.recovery = build_stats.recovery
 
     t1 = time.perf_counter()
-    n_local = len(ids)
     interior_pos = np.searchsorted(ids, shard.interior_ids)
-    is_interior = np.zeros(n_local, dtype=bool)
+    is_interior = np.zeros(len(ids), dtype=bool)
     is_interior[interior_pos] = True
-
-    counts = table.neighbor_counts()
     # interior neighborhoods are complete -> exact global core status;
     # halo neighborhoods are clipped -> never classified here
-    local_core = counts >= minpts
-    interior_core = local_core & is_interior
+    interior_core = (table.neighbor_counts() >= minpts) & is_interior
+    border = is_interior & ~interior_core
 
-    dres = None
+    # interior rows only: every edge the reduce needs starts inside, and
+    # interior–interior edges appear in both directions
+    src, dst = table.edges_for(interior_pos)
     if cluster_on == "device":
         # shard-local labeling on the shard's own bounded device: the
-        # eligibility mask keeps halo points (clipped neighborhoods)
-        # out of core status, exactly like ``interior_core`` above
+        # eligibility mask keeps halo points out of core status
         from repro.core.device_cluster import device_cluster_table
 
         dres = device_cluster_table(
@@ -615,71 +607,24 @@ def run_shard(
             block_dim=block_dim,
             eligible=is_interior,
         )
-
+        raw, attach = dres.raw_labels, dres.attach
+    else:
+        raw, attach = cluster_edges(interior_core, src, dst)
+    # the raw label of an interior core is the minimum *local* core id of
+    # its component; local ids are sorted global ids, so mapping through
+    # ``ids`` yields the lowest-global-id representative
     core_local = np.flatnonzero(interior_core)
-    comp_edges = np.empty((0, 2), dtype=np.int64)
-    cross_edges = np.empty((0, 2), dtype=np.int64)
-    if len(core_local):
-        src, dst = table.edges_for(core_local)
-        gids_core = ids[core_local]
-        if dres is not None:
-            # the converged union-find label of an interior core is the
-            # minimum *local* core id of its component; local ids are
-            # sorted global ids, so mapping through ``ids`` yields the
-            # exact lowest-global-id representative the host computes
-            comp_edges = np.column_stack(
-                [gids_core, ids[dres.raw_labels[core_local]]]
-            )
-        else:
-            # (a) interior-core -> interior-core: the local component graph
-            cc = interior_core[dst]
-            csrc, cdst = src[cc], dst[cc]
-            lindex = np.full(n_local, -1, dtype=np.int64)
-            lindex[core_local] = np.arange(len(core_local))
-            g = sparse.csr_matrix(
-                (
-                    np.ones(len(csrc), dtype=np.int8),
-                    (lindex[csrc], lindex[cdst]),
-                ),
-                shape=(len(core_local), len(core_local)),
-            )
-            _, comp = csgraph.connected_components(g, directed=False)
-            # shard-local labels compress to one (member, representative)
-            # edge per interior core point; representative = lowest global id
-            rep = np.full(
-                comp.max() + 1, np.iinfo(np.int64).max, dtype=np.int64
-            )
-            np.minimum.at(rep, comp, gids_core)
-            comp_edges = np.column_stack([gids_core, rep[comp]])
-        # (b) interior-core -> halo: candidate core–core merge edges;
-        # the halo endpoint may or may not be globally core (merge
-        # bookkeeping — host-computed on either cluster_on path)
-        xc = ~is_interior[dst]
-        cross_edges = np.column_stack([ids[src[xc]], ids[dst[xc]]])
-
-    border_local = np.flatnonzero(is_interior & ~local_core)
-    border_interior = np.empty((0, 2), dtype=np.int64)
-    border_halo_edges = np.empty((0, 2), dtype=np.int64)
-    if len(border_local):
-        bsrc, bdst = table.edges_for(border_local)
-        if dres is not None:
-            # the BorderAttach kernel already found each interior border
-            # point's lowest-id (interior-)core neighbor
-            amask = dres.attach[border_local] >= 0
-            if amask.any():
-                bl = border_local[amask]
-                border_interior = np.column_stack(
-                    [ids[bl], ids[dres.attach[bl]]]
-                )
-        else:
-            # exact candidates among interior neighbors (core status known)
-            bi = interior_core[bdst]
-            if bi.any():
-                u, v = _first_per_key(ids[bsrc[bi]], ids[bdst[bi]])
-                border_interior = np.column_stack([u, v])
-        # halo neighbors: core status resolved at merge
-        bh = ~is_interior[bdst]
-        border_halo_edges = np.column_stack([ids[bsrc[bh]], ids[bdst[bh]]])
+    comp_edges = np.column_stack([ids[core_local], ids[raw[core_local]]])
+    # each interior border point's lowest-id interior-core neighbor
+    bl = np.flatnonzero(border & (attach >= 0))
+    border_interior = np.column_stack([ids[bl], ids[attach[bl]]])
+    # edges into the halo: the halo endpoint's core status is resolved
+    # at merge time (merge bookkeeping, host-computed on either path)
+    to_halo = ~is_interior[dst]
+    xc = to_halo & interior_core[src]
+    cross_edges = np.column_stack([ids[src[xc]], ids[dst[xc]]])
+    bh = to_halo & border[src]
+    border_halo_edges = np.column_stack([ids[src[bh]], ids[dst[bh]]])
     stats.reduce_s = time.perf_counter() - t1
     stats.peak_device_bytes = device.memory.peak_bytes
     stats.peak_pinned_bytes = device.pinned.peak_bytes
@@ -726,7 +671,7 @@ class ShardAttempt:
     attempt: int
     #: ``"ok"`` | ``"retry"`` | ``"split"`` | ``"failed"``
     outcome: str
-    #: device the attempt ran on (multi-device executor; 0 otherwise)
+    #: device the executor pinned the attempt to
     device: int = 0
     #: :func:`~repro.gpusim.faults.classify_fault` class ("" on success)
     fault: str = ""
@@ -894,8 +839,8 @@ def run_shard_supervised(
     budgets span retries.  Fatal faults propagate unchanged; an
     exhausted retry budget raises :class:`ShardFailureError`.  Every
     attempt is appended to ``events`` (the recovery audit trail),
-    stamped with ``device_id`` — the simulated device the multi-device
-    executor pinned this shard to (0 on the single-device path).
+    stamped with ``device_id`` — the simulated device the executor
+    pinned this shard to.
     """
     injector = (
         cfg.fault_factory(shard) if cfg.fault_factory is not None else None
@@ -1001,75 +946,6 @@ def run_shard_supervised(
 
 
 # ----------------------------------------------------------------------
-# the merge
-# ----------------------------------------------------------------------
-def merge_shard_labels(
-    n_points: int, locals_: list[ShardLocalResult]
-) -> np.ndarray:
-    """Union shard-local clusterings into global labels (sorted order).
-
-    A union-find (via sparse connected components) over the shard-local
-    component edges plus every cross-shard core–core edge whose halo
-    endpoint is globally core; border points are then attached to their
-    lowest-id core neighbor *globally*.  Produces exactly the label
-    array :func:`~repro.core.table_dbscan.dbscan_from_table_components`
-    would on the whole dataset.
-    """
-    labels = np.full(n_points, NOISE, dtype=np.int64)
-    if not locals_:
-        return labels
-
-    # global core mask from the shards' exact interior classifications
-    is_core = np.zeros(n_points, dtype=bool)
-    for lr in locals_:
-        is_core[lr.interior_ids[lr.interior_core]] = True
-    core_ids = np.flatnonzero(is_core)
-    if len(core_ids) == 0:
-        return labels
-
-    # the merge graph: local component edges + validated cross edges
-    edge_parts = []
-    for lr in locals_:
-        if len(lr.comp_edges):
-            edge_parts.append(lr.comp_edges)
-        if len(lr.cross_edges):
-            keep = is_core[lr.cross_edges[:, 1]]
-            if keep.any():
-                edge_parts.append(lr.cross_edges[keep])
-    core_index = np.full(n_points, -1, dtype=np.int64)
-    core_index[core_ids] = np.arange(len(core_ids))
-    if edge_parts:
-        edges = np.concatenate(edge_parts)
-        g = sparse.csr_matrix(
-            (
-                np.ones(len(edges), dtype=np.int8),
-                (core_index[edges[:, 0]], core_index[edges[:, 1]]),
-            ),
-            shape=(len(core_ids), len(core_ids)),
-        )
-    else:  # isolated core points only
-        g = sparse.csr_matrix((len(core_ids), len(core_ids)), dtype=np.int8)
-    _, comp = csgraph.connected_components(g, directed=False)
-    labels[core_ids] = comp
-
-    # border attachment: lowest-id core neighbor across ALL shards'
-    # candidates (exact interior candidate + globally-core halo ones)
-    att_parts = []
-    for lr in locals_:
-        if len(lr.border_interior):
-            att_parts.append(lr.border_interior)
-        if len(lr.border_halo_edges):
-            keep = is_core[lr.border_halo_edges[:, 1]]
-            if keep.any():
-                att_parts.append(lr.border_halo_edges[keep])
-    if att_parts:
-        att = np.concatenate(att_parts)
-        u, v = _first_per_key(att[:, 0], att[:, 1])
-        labels[u] = labels[v]
-    return canonicalize_labels(labels)
-
-
-# ----------------------------------------------------------------------
 # the driver
 # ----------------------------------------------------------------------
 @dataclass
@@ -1083,8 +959,7 @@ class ShardedResult:
     shard_stats: list[ShardStats]
     #: wall seconds of the sequential host execution
     serial_s: float = 0.0
-    #: merge phase wall seconds (incremental absorbs + finalize on the
-    #: multi-device path; the barrier merge otherwise)
+    #: merge phase wall seconds (incremental absorbs + finalize)
     merge_s: float = 0.0
     #: modeled makespan over ``config.n_workers`` shard workers; every
     #: supervised attempt (including failed ones) occupies its worker
@@ -1175,29 +1050,30 @@ def cluster_sharded(
     more than one shard's working set.  Every shard is supervised by the
     recovery state machine (:func:`run_shard_supervised`): wholesale
     shard faults retry on fallback devices or quad-split the tile, and
-    completed shards are never recomputed.  Shard wall times feed the
-    hostsim multi-worker schedule; the merge runs on the host after all
-    shards.  ``cluster_on="device"`` moves shard-local cluster
-    formation onto each shard's bounded device (the union-find label
-    kernels); the halo merge is unchanged.  Labels are bit-identical to
-    ``HybridDBSCAN(...).fit(points, eps, minpts)`` with the components
-    implementation — with or without recovered faults, on either
-    ``cluster_on`` path.
+    completed shards are never recomputed.  ``cluster_on="device"``
+    moves shard-local cluster formation onto each shard's bounded device
+    (the union-find label kernels); the halo merge is unchanged.  Labels
+    are bit-identical to ``HybridDBSCAN(...).fit(points, eps, minpts)``
+    — with or without recovered faults, on either ``cluster_on`` path,
+    at any device count.
 
-    ``config.n_devices > 1`` switches to the multi-device executor
-    (DESIGN.md §13): shards are placed onto N bounded devices
-    (:func:`repro.core.placement.place_shards`), halo traffic is modeled
-    as one collective all-to-all, each device drains its pinned queue
-    concurrently (event simulation), and the halo merge runs
-    *incrementally* — each shard's reduction arrays are absorbed the
-    moment the shard completes, with only border attachment and
+    Shards are placed onto ``config.n_devices`` bounded devices
+    (:func:`repro.core.placement.place_shards`; one device is the
+    one-device case of the same executor, DESIGN.md §13), halo traffic
+    is modeled as one collective all-to-all, each device drains its
+    pinned queue concurrently (event simulation), and the halo merge
+    runs *incrementally* — each shard's reduction arrays are absorbed
+    the moment the shard completes, with only border attachment and
     canonicalization left for the serial finalize.  A ``device_lost``
-    fault marks the device dead and reschedules its remaining shards
-    onto the surviving devices; labels stay bit-identical throughout.
+    fault on one of several devices marks it dead and reschedules its
+    remaining shards onto the survivors.  Shard wall times also feed the
+    hostsim multi-worker schedule.
     """
     cfg = config or ShardConfig()
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if minpts < 1:
+        raise ValueError("minpts must be >= 1")
     pts_in = np.asarray(points, dtype=np.float64)
     if pts_in.ndim != 2 or pts_in.shape[1] < 2:
         raise ValueError("points must be an (n, 2) array")
@@ -1224,91 +1100,7 @@ def cluster_sharded(
     plan = plan_shards(points, eps, config=cfg)
     base_spec = device_spec or DeviceSpec()
 
-    run_kwargs = dict(
-        kernel=kernel,
-        batch_config=batch_config,
-        backend=backend,
-        block_dim=block_dim,
-        sanitize=sanitize,
-        cluster_on=cluster_on,
-    )
-    if cfg.n_devices > 1:
-        return _cluster_sharded_multidevice(
-            plan, minpts, cfg, base_spec, run_kwargs
-        )
-
-    locals_: list[ShardLocalResult] = []
-    events: list[ShardAttempt] = []
-    t0 = time.perf_counter()
-    pending: deque[Shard] = deque(plan.shards)
-    while pending:
-        shard = pending.popleft()
-        outcome = run_shard_supervised(
-            plan, shard, minpts, cfg, base_spec, events=events, **run_kwargs
-        )
-        if isinstance(outcome, ShardLocalResult):
-            locals_.append(outcome)
-        else:
-            # a quad-split: the children take the parent's place at the
-            # head of the queue (completed shards are untouched)
-            pending.extendleft(reversed(outcome))
-    serial_s = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    labels_sorted = merge_shard_labels(plan.n_points, locals_)
-    labels = np.empty_like(labels_sorted)
-    labels[plan.sort_order] = labels_sorted
-    merge_s = time.perf_counter() - t1
-
-    stats = [lr.stats for lr in locals_]
-    # every supervised attempt — retries, splits, and successes alike —
-    # occupied a worker for its full duration; scheduling only the
-    # successful attempts' times would let failed-attempt wall time
-    # vanish from the modeled makespan
-    sched = schedule_parallel([e.shard_s for e in events], cfg.n_workers)
-    from repro.core.placement import collective_exchange, place_shards
-
-    placement = place_shards(plan, 1, cfg.placement)
-    return ShardedResult(
-        labels=labels,
-        eps=float(eps),
-        minpts=int(minpts),
-        plan=plan,
-        shard_stats=stats,
-        serial_s=serial_s,
-        merge_s=merge_s,
-        schedule=sched,
-        events=events,
-        placement=placement,
-        exchange=collective_exchange(plan, placement),
-        # the single-device baseline the placement ablation compares
-        # against: every build and the whole (barrier) merge serialized
-        device_schedule=schedule_devices(
-            [e.shard_s for e in events],
-            [0] * len(events),
-            n_devices=1,
-            finalize_s=merge_s,
-        ),
-    )
-
-
-def _cluster_sharded_multidevice(
-    plan: ShardPlan,
-    minpts: int,
-    cfg: ShardConfig,
-    base_spec: DeviceSpec,
-    run_kwargs: dict,
-) -> ShardedResult:
-    """The N-device executor: pinned queues, overlapped incremental merge.
-
-    Devices are simulated (shards still execute one at a time on this
-    host); concurrency is replayed as an event simulation — the next
-    shard to run is always the head of the earliest-clock live device's
-    queue, which is the order a real N-device host would observe
-    completions in.  The merge absorbs each completed shard immediately
-    (:class:`repro.core.placement.IncrementalMerger`), so only border
-    attachment + canonicalization remain after the last build.
-    """
+    # placement imports sharding, so it is imported at call time
     from repro.core.placement import (
         IncrementalMerger,
         collective_exchange,
@@ -1340,6 +1132,11 @@ def _cluster_sharded_multidevice(
             ),
         )
 
+    # devices are simulated (shards still execute one at a time on this
+    # host); concurrency is replayed as an event simulation — the next
+    # shard to run is always the head of the earliest-clock live
+    # device's queue, the order a real N-device host would observe
+    # completions in
     t0 = time.perf_counter()
     while True:
         ready = [d for d in alive if queues[d]]
@@ -1354,9 +1151,14 @@ def _cluster_sharded_multidevice(
             minpts,
             cfg,
             base_spec,
+            kernel=kernel,
+            batch_config=batch_config,
+            backend=backend,
+            block_dim=block_dim,
+            sanitize=sanitize,
+            cluster_on=cluster_on,
             events=events,
             device_id=dev,
-            **run_kwargs,
         )
         # a lost device: everything after the loss ran on a fallback —
         # in the N-device model that fallback is a surviving device, the
@@ -1407,13 +1209,14 @@ def _cluster_sharded_multidevice(
     stats = [lr.stats for lr in locals_]
     return ShardedResult(
         labels=labels,
-        eps=plan.eps,
+        eps=float(eps),
         minpts=int(minpts),
         plan=plan,
         shard_stats=stats,
         serial_s=serial_s,
         merge_s=merge_total + finalize_s,
-        # worker-model makespan kept for continuity with n_devices == 1
+        # every supervised attempt — retries, splits, and successes
+        # alike — occupied a worker for its full duration
         schedule=schedule_parallel(
             [e.shard_s for e in events], cfg.n_workers
         ),

@@ -1,51 +1,53 @@
 """DBSCAN over a precomputed neighbor table ``T``.
 
 Algorithm 4 replaces the ``NeighborSearch(p, ε, I)`` calls of Algorithm 1
-with lookups into ``T``.  Two implementations are provided:
+with lookups into ``T``, and clusters with one rule: connected components
+of the core–core graph (core points adjacent iff within ε), with every
+border point joining the cluster of its **lowest-id core neighbor**.
+
+``cluster_edges``
+    The one host implementation of that rule, over any symmetric edge
+    list: vectorized min-label hooking with pointer jumping
+    (:func:`union_edges`) over the core–core edges, then border
+    attachment (:func:`attach_borders`).  Every host path builds on it —
+    :func:`dbscan_from_table`, :func:`dbscan_from_annotated_table`
+    (edges filtered to a sub-ε), the per-shard reduce in
+    :mod:`repro.core.sharding`, and the incremental shard merge in
+    :mod:`repro.core.placement`.
 
 ``dbscan_from_table_expand``
     A faithful adaptation of Algorithm 1 — sequential seed-point loop
-    with breadth-first cluster expansion.  The semantic reference.
+    with breadth-first cluster expansion.  The semantic reference and
+    test oracle.
 
-``dbscan_from_table_components``
-    The production path: the clustering equals connected components of
-    the core-point graph (core points adjacent iff within ε) plus border
-    attachment.  Implemented with vectorized NumPy + SciPy sparse CSR,
-    whose C kernels release the GIL — this is what makes the S2 pipeline
-    and the S3 16-thread reuse scenario scale on a multicore host, the
-    role OpenMP plays in the paper.
+The device path (:mod:`repro.core.device_cluster`) computes the same
+clustering with union-find label kernels on the simulated device.
 
-A third implementation lives in :mod:`repro.core.device_cluster`: the
-same clustering computed by union-find label kernels on the simulated
-device.
-
-All three produce *bit-identical* labels.  Original DBSCAN leaves border
+All paths produce *bit-identical* labels.  Original DBSCAN leaves border
 points that are ε-reachable from several clusters to visitation order
-(Ester et al. 1996); here every implementation resolves the tie the same
-way — a border point joins the cluster of its **lowest-id core
-neighbor** — so the outputs can be compared with ``np.array_equal``, no
-label-equivalence escape hatch needed.  Labels: ``-1`` is noise,
-clusters are ``0..k-1``, numbered by their lowest member point id for
-determinism.
+(Ester et al. 1996); here every implementation resolves the tie by the
+lowest-id core neighbor, so the outputs can be compared with
+``np.array_equal``, no label-equivalence escape hatch needed.  Labels:
+``-1`` is noise, clusters are ``0..k-1``, numbered by their lowest member
+point id for determinism.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Literal
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from repro.core.neighbor_table import NeighborTable
 
 __all__ = [
     "NOISE",
     "dbscan_from_table_expand",
-    "dbscan_from_table_components",
     "dbscan_from_table",
     "dbscan_from_annotated_table",
+    "cluster_edges",
+    "union_edges",
+    "attach_borders",
     "core_mask",
     "canonicalize_labels",
 ]
@@ -92,9 +94,9 @@ def dbscan_from_table_expand(table: NeighborTable, minpts: int) -> np.ndarray:
 
     Cluster expansion walks core points breadth-first; border points are
     attached in a separate pass to their lowest-id core neighbor — the
-    deterministic tie-break :func:`dbscan_from_table_components` (and
-    the device path) uses, rather than BFS discovery order, so all
-    implementations agree bit-for-bit.
+    deterministic tie-break :func:`cluster_edges` (and the device path)
+    uses, rather than BFS discovery order, so all implementations agree
+    bit-for-bit.
     """
     n = table.n_points
     is_core = core_mask(table, minpts)
@@ -122,80 +124,72 @@ def dbscan_from_table_expand(table: NeighborTable, minpts: int) -> np.ndarray:
     return canonicalize_labels(labels)
 
 
-def dbscan_from_table_components(
-    table: NeighborTable, minpts: int
-) -> np.ndarray:
-    """Connected-components DBSCAN over ``T`` (vectorized, GIL-releasing)."""
-    n = table.n_points
-    is_core = core_mask(table, minpts)
-    labels = np.full(n, NOISE, dtype=np.int64)
-    core_ids = np.flatnonzero(is_core)
-    if len(core_ids) == 0:
-        return labels
+def union_edges(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Union the undirected edges ``(a[i], b[i])`` into ``parent`` in place.
 
-    # core–core edges: expand the table rows of core points, keep core targets
-    src, dst = table.edges_for(core_ids)
-    keep = is_core[dst]
-    src, dst = src[keep], dst[keep]
-
-    # compress to core-only vertex ids
-    core_index = np.full(n, -1, dtype=np.int64)
-    core_index[core_ids] = np.arange(len(core_ids))
-    g = sparse.csr_matrix(
-        (np.ones(len(src), dtype=np.int8), (core_index[src], core_index[dst])),
-        shape=(len(core_ids), len(core_ids)),
-    )
-    n_comp, comp = csgraph.connected_components(g, directed=False)
-    labels[core_ids] = comp
-
-    # border points: non-core with at least one core neighbor; attach to
-    # the cluster of their lowest-id core neighbor (deterministic)
-    border_ids = np.flatnonzero(~is_core)
-    if len(border_ids):
-        bsrc, bdst = table.edges_for(border_ids)
-        bkeep = is_core[bdst]
-        bsrc, bdst = bsrc[bkeep], bdst[bkeep]
-        if len(bsrc):
-            # lowest-id core neighbor per border point (stable first hit
-            # after sorting by (border, core) pairs)
-            order = np.lexsort((bdst, bsrc))
-            bsrc, bdst = bsrc[order], bdst[order]
-            first = np.concatenate(([True], bsrc[1:] != bsrc[:-1]))
-            labels[bsrc[first]] = labels[bdst[first]]
-    return canonicalize_labels(labels)
-
-
-def _cluster_from_edges(
-    n: int, is_core: np.ndarray, src: np.ndarray, dst: np.ndarray
-) -> np.ndarray:
-    """Components + border attachment over an explicit edge list.
-
-    Shared by the sub-ε path (:func:`dbscan_from_annotated_table`),
-    which filters edges by distance before clustering.
+    ``parent`` is a flat min-root forest: every entry is the lowest id of
+    its tree, so ``parent[parent] == parent``.  Each round hooks the
+    higher root of every edge that still joins two trees under the
+    lowest root it meets (min-label hooking), then pointer jumping
+    flattens the forest again; only the edges still joining two trees go
+    on to the next round.  Hooks always point to a lower id, so no cycle
+    can form, and on return every entry is the lowest id of its
+    component whatever the edge order.
     """
-    labels = np.full(n, NOISE, dtype=np.int64)
-    core_ids = np.flatnonzero(is_core)
-    if len(core_ids) == 0:
-        return labels
-    cc = is_core[src] & is_core[dst]
-    csrc, cdst = src[cc], dst[cc]
-    core_index = np.full(n, -1, dtype=np.int64)
-    core_index[core_ids] = np.arange(len(core_ids))
-    g = sparse.csr_matrix(
-        (np.ones(len(csrc), dtype=np.int8), (core_index[csrc], core_index[cdst])),
-        shape=(len(core_ids), len(core_ids)),
-    )
-    _, comp = csgraph.connected_components(g, directed=False)
-    labels[core_ids] = comp
+    while len(a):
+        ra, rb = parent[a], parent[b]
+        # an edge inside one tree hooks its root under itself: a no-op
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent[:] = jumped
+        split = parent[a] != parent[b]
+        a, b = a[split], b[split]
 
-    bc = (~is_core[src]) & is_core[dst]
-    bsrc, bdst = src[bc], dst[bc]
-    if len(bsrc):
-        order = np.lexsort((bdst, bsrc))
-        bsrc, bdst = bsrc[order], bdst[order]
-        first = np.concatenate(([True], bsrc[1:] != bsrc[:-1]))
-        labels[bsrc[first]] = labels[bdst[first]]
-    return canonicalize_labels(labels)
+
+def attach_borders(
+    is_core: np.ndarray, roots: np.ndarray, src: np.ndarray, dst: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw labels from a flat core forest plus border attachment.
+
+    A core point takes its root in ``roots``; a non-core point with a
+    core neighbor along the edges ``src -> dst`` takes the root of its
+    **lowest-id** core neighbor; every other point is noise.  Returns
+    ``(raw, attach)``: ``attach`` holds each attached border point's
+    lowest-id core neighbor and -1 elsewhere, as the device
+    ``BorderAttach`` kernel records it.
+    """
+    n = len(is_core)
+    raw = np.where(is_core, roots, NOISE)
+    b = ~is_core[src] & is_core[dst]
+    lowest = np.full(n, n, dtype=np.int64)
+    np.minimum.at(lowest, src[b], dst[b])
+    attach = np.where(lowest < n, lowest, NOISE)
+    border = attach >= 0
+    raw[border] = roots[attach[border]]
+    return raw, attach
+
+
+def cluster_edges(
+    is_core: np.ndarray, src: np.ndarray, dst: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Algorithm 4's clustering rule over a symmetric edge list.
+
+    The one host primitive every clustering path builds on: components
+    of the core–core edges (:func:`union_edges`; ``T`` is symmetric, so
+    only the ``src < dst`` direction of each edge is kept), then border
+    attachment (:func:`attach_borders`).  Returns ``(raw, attach)``:
+    ``raw`` is, per point, the minimum core id of its component (borders
+    take their attach core's) or -1 for noise — the device path's
+    ``raw_labels`` exactly; :func:`canonicalize_labels` turns it into
+    the final labels.
+    """
+    parent = np.arange(len(is_core), dtype=np.int64)
+    cc = is_core[src] & is_core[dst] & (src < dst)
+    union_edges(parent, src[cc], dst[cc])
+    return attach_borders(is_core, parent, src, dst)
 
 
 def dbscan_from_annotated_table(
@@ -210,6 +204,8 @@ def dbscan_from_annotated_table(
     """
     if not table.with_distances:
         raise ValueError("requires a table built with_distances=True")
+    if not np.isfinite(eps) or eps <= 0:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if eps > table.eps + 1e-12:
         raise ValueError(
             f"table was built for eps={table.eps}; cannot query eps={eps}"
@@ -219,20 +215,14 @@ def dbscan_from_annotated_table(
     src, dst, pos = table.edges_with_positions()
     keep = table.distances[pos] <= eps
     src, dst = src[keep], dst[keep]
-    counts = np.bincount(src, minlength=table.n_points)
-    is_core = counts >= minpts
-    return _cluster_from_edges(table.n_points, is_core, src, dst)
+    is_core = np.bincount(src, minlength=table.n_points) >= minpts
+    return canonicalize_labels(cluster_edges(is_core, src, dst)[0])
 
 
-def dbscan_from_table(
-    table: NeighborTable,
-    minpts: int,
-    *,
-    impl: Literal["components", "expand"] = "components",
-) -> np.ndarray:
-    """Dispatch to a table-DBSCAN implementation."""
-    if impl == "components":
-        return dbscan_from_table_components(table, minpts)
-    if impl == "expand":
-        return dbscan_from_table_expand(table, minpts)
-    raise ValueError(f"unknown impl {impl!r}")
+def dbscan_from_table(table: NeighborTable, minpts: int) -> np.ndarray:
+    """DBSCAN over ``T`` with :func:`cluster_edges` (the production path)."""
+    is_core = core_mask(table, minpts)
+    if not is_core.any():  # all noise: skip expanding T's rows
+        return np.full(table.n_points, NOISE, dtype=np.int64)
+    src, dst = table.edges()
+    return canonicalize_labels(cluster_edges(is_core, src, dst)[0])

@@ -5,8 +5,8 @@ batched, sharded, and fault-hardened, that host pass is the last serial
 phase of the pipeline.  These kernels move it onto the (simulated)
 device as label-propagation union-find — the shape "Theoretically-
 Efficient and Practical Parallel DBSCAN" (Wang, Gu, Shun) and the ArborX
-GPU DBSCAN (Prokopenko et al.) use, and the same edge-based formulation
-``merge_shard_labels`` already applies on the host:
+GPU DBSCAN (Prokopenko et al.) use, and the same min-label hooking the
+host primitive ``cluster_edges`` applies over an edge list:
 
 * :class:`CoreFlagKernel` — one thread per point; classifies core points
   from the ``T`` row lengths (``|N_ε(p)| >= minpts``) and initializes
@@ -19,7 +19,7 @@ GPU DBSCAN (Prokopenko et al.) use, and the same edge-based formulation
   settles at 0.
 * :class:`BorderAttachKernel` — attaches each border point to the label
   of its lowest-id core neighbor (the deterministic rule
-  ``dbscan_from_table_components`` uses) and records that neighbor in an
+  the host primitive ``cluster_edges`` uses) and records that neighbor in an
   ``attach`` output array.
 
 Determinism across backends: labels only ever *decrease*, are bounded

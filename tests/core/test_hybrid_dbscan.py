@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import validate_hybrid
-from repro.analysis.metrics import same_clustering
+from repro.analysis.metrics import dbscan_equivalent, same_clustering
 from repro.baseline import sequential_dbscan
 from repro.core import BatchConfig, HybridDBSCAN
+from repro.core.table_dbscan import dbscan_from_table_expand
 from repro.gpusim import Device
 
 
@@ -34,8 +35,10 @@ class TestAgainstReference:
         assert validate_hybrid(blobs_points, 0.5, 5, hybrid=h).ok
 
     def test_expand_impl_variant(self, blobs_points):
-        h = HybridDBSCAN(dbscan_impl="expand")
-        assert validate_hybrid(blobs_points, 0.5, 5, hybrid=h).ok
+        grid, table, _ = HybridDBSCAN().build_table(blobs_points, 0.5)
+        expand = dbscan_from_table_expand(table, 5)
+        ref, _ = sequential_dbscan(blobs_points, 0.5, 5)
+        assert dbscan_equivalent(expand, ref[grid.sort_order], table, 5)
 
     def test_interpreter_backend(self, rng):
         pts = np.vstack([rng.normal(0, 0.2, (40, 2)), rng.normal(3, 0.2, (40, 2))])

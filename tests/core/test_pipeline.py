@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import HybridDBSCAN, MultiClusterPipeline, VariantSet
+from repro.core.table_dbscan import dbscan_from_table_expand
 
 
 @pytest.fixture
@@ -56,9 +57,13 @@ class TestConfiguration:
             MultiClusterPipeline(n_consumers=0)
 
     def test_custom_hybrid(self, blobs_points, variants):
-        h = HybridDBSCAN(dbscan_impl="expand")
-        res = MultiClusterPipeline(h).run(blobs_points, variants)
+        h = HybridDBSCAN(kernel="shared")
+        res = MultiClusterPipeline(h, keep_labels=True).run(blobs_points, variants)
         assert len(res.outcomes) == len(variants)
+        for o in res.outcomes:
+            grid, table, _ = h.build_table(blobs_points, o.variant.eps)
+            want = dbscan_from_table_expand(table, o.variant.minpts)
+            assert np.array_equal(o.labels[grid.sort_order], want)
 
     def test_single_variant(self, blobs_points):
         vs = VariantSet.eps_sweep([0.4])

@@ -1,10 +1,10 @@
 """Tests for the multi-device placement layer (DESIGN.md §13).
 
 Covers the locality placer, the collective halo-exchange model, the
-incremental merger's bit-identity with the barrier merge, and the full
-multi-device executor — including placement × fault-injection runs
-whose labels must stay bit-identical to the fault-free single-device
-components path.
+incremental merger's bit-identity with whole-dataset table DBSCAN, and
+the sharded executor — including placement × fault-injection runs whose
+labels must stay bit-identical to the fault-free single-device table
+path.
 """
 
 import numpy as np
@@ -22,15 +22,22 @@ from repro.core import (
 from repro.core.placement import IncrementalMerger, _optimal_contiguous_cuts
 from repro.core.sharding import (
     make_shard_fault_factory,
-    merge_shard_labels,
     plan_shards,
     run_shard,
 )
+from repro.core.table_dbscan import dbscan_from_table
 from repro.gpusim import Device, FaultSpec
 
 
 def _reference_labels(points, eps, minpts):
-    return HybridDBSCAN(dbscan_impl="components").fit(points, eps, minpts).labels
+    return HybridDBSCAN().fit(points, eps, minpts).labels
+
+
+def _whole_dataset_labels(plan, points, minpts):
+    """``dbscan_from_table`` over the whole dataset, in plan order."""
+    grid, table, _ = HybridDBSCAN().build_table(points, plan.eps)
+    assert np.array_equal(grid.sort_order, plan.sort_order)
+    return dbscan_from_table(table, minpts)
 
 
 def _shard_locals(points, eps, minpts, grid=(3, 3)):
@@ -157,27 +164,27 @@ class TestCollectiveExchange:
 
 
 class TestIncrementalMerger:
-    def test_bit_identical_to_barrier_merge(self, blobs_points):
+    def test_bit_identical_to_whole_dataset(self, blobs_points):
         eps, minpts = 0.5, 4
         plan, locals_ = _shard_locals(blobs_points, eps, minpts)
-        barrier = merge_shard_labels(plan.n_points, locals_)
+        whole = _whole_dataset_labels(plan, blobs_points, minpts)
         m = IncrementalMerger(plan.n_points)
         for lr in locals_:
             m.absorb(lr)
         assert m.pending_edges == 0  # every halo owner has arrived
-        np.testing.assert_array_equal(m.finalize(), barrier)
+        np.testing.assert_array_equal(m.finalize(), whole)
 
     def test_order_independent(self, uniform_points):
         eps, minpts = 0.35, 4
         plan, locals_ = _shard_locals(uniform_points, eps, minpts)
-        barrier = merge_shard_labels(plan.n_points, locals_)
+        whole = _whole_dataset_labels(plan, uniform_points, minpts)
         rng = np.random.default_rng(7)
         for _ in range(4):
             order = rng.permutation(len(locals_))
             m = IncrementalMerger(plan.n_points)
             for i in order:
                 m.absorb(locals_[i])
-            np.testing.assert_array_equal(m.finalize(), barrier)
+            np.testing.assert_array_equal(m.finalize(), whole)
 
     def test_empty(self):
         m = IncrementalMerger(5)
@@ -216,16 +223,21 @@ class TestMultiDeviceExecutor:
             blobs_points, eps, minpts,
             config=ShardConfig(shards_x=3, shards_y=3, n_devices=1),
         )
-        # compare modeled schedules over the same measured build times:
-        # replay the single-device run's events on more devices
+        # compare modeled schedules over the same measured build times
+        # and merge increments: replay the single-device run's events on
+        # more devices
         from repro.hostsim import schedule_devices
 
+        ds = one.device_schedule
         durations = [e.shard_s for e in one.events]
-        base = one.device_schedule.makespan_s
+        merges = [0.0] * len(durations)
+        for iv in ds.merge_intervals:
+            merges[iv.task] = iv.end_s - iv.start_s
+        base = ds.makespan_s
         for k in (2, 3):
             devs = [i % k for i in range(len(durations))]
-            s = schedule_devices(durations, devs, n_devices=k,
-                                 finalize_s=one.merge_s)
+            s = schedule_devices(durations, devs, merges, n_devices=k,
+                                 finalize_s=ds.finalize_s)
             assert s.makespan_s <= base + 1e-9
 
     def test_device_lost_reschedules_onto_survivors(self, blobs_points):
@@ -299,6 +311,9 @@ class TestMultiDeviceExecutor:
             cluster_sharded(np.empty((0, 2)), -1.0, 4)
         with pytest.raises(ValueError):
             cluster_sharded(np.empty((0, 3, 2)), 0.3, 4)
+        for minpts in (0, -3):
+            with pytest.raises(ValueError, match="minpts"):
+                cluster_sharded(np.empty((0, 2)), 0.3, minpts)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**16),

@@ -1,5 +1,5 @@
 """Sharded out-of-core clustering: planner invariants, exact
-equivalence with the single-device components path, and the per-shard
+equivalence with the single-device table path, and the per-shard
 memory bound."""
 
 import numpy as np
@@ -12,7 +12,6 @@ from repro.core import (
     HybridDBSCAN,
     ShardConfig,
     cluster_sharded,
-    merge_shard_labels,
     plan_shards,
 )
 from repro.core.sharding import _global_cell_coords, exchange_halos
@@ -217,10 +216,6 @@ class TestOutOfCore:
 
 
 class TestMergeUnit:
-    def test_no_locals_all_noise(self):
-        labels = merge_shard_labels(5, [])
-        assert (labels == NOISE).all()
-
     def test_exchange_halos_interior_excluded(self):
         cx = np.array([0, 1, 2, 3])
         cy = np.array([0, 0, 0, 0])

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import NOISE
+from repro.core import NOISE, ShardConfig, cluster_sharded
 from repro.core.batching import build_neighbor_table
+from repro.core.device_cluster import dbscan_from_table_device
 from repro.core.table_dbscan import (
     canonicalize_labels,
     core_mask,
     dbscan_from_table,
-    dbscan_from_table_components,
     dbscan_from_table_expand,
 )
 from repro.gpusim import Device
@@ -22,6 +22,45 @@ def build_table(points, eps):
     grid = GridIndex.build(points, eps)
     table, _ = build_neighbor_table(grid, Device())
     return grid, table
+
+
+def _duplicates():
+    rng = np.random.default_rng(3)
+    base = np.vstack([rng.normal(2, 0.2, (15, 2)), rng.random((10, 2)) * 4])
+    # every point three times, interleaved with the originals
+    return np.repeat(base, 3, axis=0), 0.3, 4
+
+
+def _exact_eps_pairs():
+    # points exactly ε apart (exactly representable): a tie must count
+    # as a neighbor on every path
+    x = np.arange(12) * 0.5
+    chain = np.column_stack([x, np.zeros_like(x)])
+    pair = np.array([[0.0, 3.0], [0.5, 3.0]])
+    return np.vstack([chain, pair]), 0.5, 3
+
+
+def _single_point():
+    return np.array([[1.0, 2.0]]), 0.3, 1
+
+
+def _minpts_one():
+    rng = np.random.default_rng(5)
+    return rng.random((60, 2)) * 3, 0.25, 1
+
+
+def _all_noise():
+    rng = np.random.default_rng(9)
+    return rng.random((50, 2)) * 100, 0.5, 4
+
+
+ADVERSARIAL = {
+    "duplicates": _duplicates,
+    "exact_eps_pairs": _exact_eps_pairs,
+    "single_point": _single_point,
+    "minpts_one": _minpts_one,
+    "all_noise": _all_noise,
+}
 
 
 class TestCoreMask:
@@ -48,8 +87,8 @@ class TestKnownFixtures:
     def test_chain_is_one_cluster(self, chain_points):
         """Density reachability chains across the whole line."""
         _, table = build_table(chain_points, 0.5)
-        for impl in ("expand", "components"):
-            labels = dbscan_from_table(table, 3, impl=impl)
+        for impl in (dbscan_from_table_expand, dbscan_from_table):
+            labels = impl(table, 3)
             assert labels.max() == 0
             assert (labels == 0).all()
 
@@ -85,8 +124,8 @@ class TestKnownFixtures:
         lonely = np.array([[5.0, 5.0]])
         pts = np.vstack([core, border, lonely])
         _, table = build_table(pts, 0.45)
-        for impl in ("expand", "components"):
-            labels = dbscan_from_table(table, 4, impl=impl)
+        for impl in (dbscan_from_table_expand, dbscan_from_table):
+            labels = impl(table, 4)
             assert labels[4] == labels[0]  # border joins the cluster
             assert labels[5] == NOISE
 
@@ -95,11 +134,6 @@ class TestKnownFixtures:
         labels = dbscan_from_table(table, 5)
         used = np.unique(labels[labels != NOISE])
         assert used.tolist() == list(range(len(used)))
-
-    def test_unknown_impl(self, uniform_points):
-        _, table = build_table(uniform_points, 0.3)
-        with pytest.raises(ValueError):
-            dbscan_from_table(table, 4, impl="quantum")
 
 
 class TestImplementationEquivalence:
@@ -119,16 +153,39 @@ class TestImplementationEquivalence:
         pts = np.vstack(parts)
         _, table = build_table(pts, 0.4)
         a = dbscan_from_table_expand(table, minpts)
-        b = dbscan_from_table_components(table, minpts)
+        b = dbscan_from_table(table, minpts)
         # bit-identical, not merely equivalent: every implementation
         # resolves border ties by lowest-id core neighbor
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "case", list(ADVERSARIAL), ids=list(ADVERSARIAL)
+    )
+    def test_adversarial_inputs_agree(self, case):
+        """Degenerate inputs: the primitive, the expand oracle, the
+        device path and the sharded executor at 1, 2 and 4 devices all
+        produce the same labels."""
+        pts, eps, minpts = ADVERSARIAL[case]()
+        grid, table = build_table(pts, eps)
+        a = dbscan_from_table_expand(table, minpts)
+        b = dbscan_from_table(table, minpts)
+        c = dbscan_from_table_device(table, minpts)
+        assert np.array_equal(a, b)
+        assert np.array_equal(b, c)
+        want = np.empty_like(b)
+        want[grid.sort_order] = b
+        for n_devices in (1, 2, 4):
+            res = cluster_sharded(
+                pts, eps, minpts,
+                config=ShardConfig(shards_x=2, shards_y=2, n_devices=n_devices),
+            )
+            assert np.array_equal(res.labels, want), n_devices
 
     def test_cluster_counts_always_agree(self, blobs_points):
         _, table = build_table(blobs_points, 0.4)
         for minpts in (2, 4, 8, 16, 64):
             a = dbscan_from_table_expand(table, minpts)
-            b = dbscan_from_table_components(table, minpts)
+            b = dbscan_from_table(table, minpts)
             assert a.max() == b.max()
             assert (a == NOISE).sum() == (b == NOISE).sum()
 
