@@ -35,9 +35,10 @@ Shards execute sequentially on the host (one bounded device at a time —
 the out-of-core property).  One executor places them onto
 ``ShardConfig.n_devices`` simulated devices and replays their
 concurrency as an event simulation (:func:`repro.hostsim.schedule_devices`,
-DESIGN.md §13); a single device is its one-device case.  The per-shard
-reduction arrays are exactly the messages a distributed merge would
-exchange.
+DESIGN.md §13); a single device is its one-device case, and that replay
+is the run's one modeled makespan (``ShardedResult.makespan_s``).  The
+per-shard reduction arrays are exactly the messages a distributed merge
+would exchange.
 
 Shard-level fault recovery
 --------------------------
@@ -64,8 +65,9 @@ the merge accepts the mixed parent/child shard set —
 labels stay bit-identical to the fault-free single-device run.  Fault
 injection composes through ``ShardConfig.fault_factory`` (one
 deterministic, seed-derived :class:`~repro.gpusim.faults.FaultInjector`
-per shard), and :class:`ShardedResult.recovery` reports every attempt,
-split, fallback placement, and wasted byte.
+per shard).  ``ShardedResult.events`` is the one audit trail of shard
+attempts; :class:`ShardedResult.recovery` derives every attempt, split,
+fallback placement, and wasted byte from it.
 
 Why this is exact
 -----------------
@@ -105,12 +107,8 @@ from repro.gpusim.faults import (
     classify_fault,
     derive_seed,
 )
-from repro.hostsim import (
-    DeviceSchedule,
-    Schedule,
-    schedule_devices,
-    schedule_parallel,
-)
+from repro.hostsim import DeviceSchedule, schedule_devices
+from repro.index.base import as_points, check_eps
 from repro.index.grid import GridIndex
 
 if TYPE_CHECKING:  # placement imports sharding; annotations only here
@@ -150,8 +148,6 @@ class ShardConfig:
     #: tile grid (kx × ky); 1 × 1 degenerates to the single-device path
     shards_x: int = 2
     shards_y: int = 2
-    #: simulated shard workers for the hostsim makespan model
-    n_workers: int = 2
     #: simulated bounded devices shards are placed onto (per-device
     #: pinned queues, collective halo exchange, incremental halo merge
     #: overlapped with the builds — DESIGN.md §13)
@@ -191,8 +187,6 @@ class ShardConfig:
     def __post_init__(self) -> None:
         if self.shards_x < 1 or self.shards_y < 1:
             raise ValueError("shard grid must be at least 1x1")
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
         if self.n_devices < 1:
             raise ValueError("n_devices must be >= 1")
         if self.placement not in PLACEMENT_STRATEGIES:
@@ -326,12 +320,8 @@ def plan_shards(
     sorted — each shard can build its grid with ``presorted=True``).
     """
     cfg = config or ShardConfig()
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] < 2:
-        raise ValueError("points must be an (n, 2) array")
-    pts = np.ascontiguousarray(pts[:, :2])
+    check_eps(eps)
+    pts = as_points(points)
     if len(pts) == 0:
         raise ValueError("cannot shard an empty dataset")
 
@@ -450,18 +440,6 @@ class ShardStats:
     recovery: RecoveryStats = field(default_factory=RecoveryStats)
     #: quad-split depth of the shard that produced these stats
     generation: int = 0
-    # --- shard-level recovery observability (the supervisor's loop) ---
-    #: supervised attempts taken, including the successful one
-    attempts: int = 1
-    #: retries placed on a fresh fallback device (``attempts - 1``)
-    fallbacks: int = 0
-    #: wall seconds burned by this shard's failed attempts
-    wasted_s: float = 0.0
-    #: peak device bytes allocated by failed attempts (wasted work)
-    wasted_bytes: int = 0
-    #: batch-level recovery performed *inside* failed attempts — kept
-    #: apart from ``recovery`` so the two are never double-counted
-    failed_recovery: RecoveryStats = field(default_factory=RecoveryStats)
 
     @property
     def shard_s(self) -> float:
@@ -481,11 +459,6 @@ class ShardStats:
             "peak_device_bytes": self.peak_device_bytes,
             "peak_pinned_bytes": self.peak_pinned_bytes,
             "recovery": self.recovery.as_dict(),
-            "attempts": self.attempts,
-            "fallbacks": self.fallbacks,
-            "wasted_s": round(self.wasted_s, 6),
-            "wasted_bytes": self.wasted_bytes,
-            "failed_recovery": self.failed_recovery.as_dict(),
         }
 
 
@@ -847,9 +820,6 @@ def run_shard_supervised(
     )
     attempt = 0
     escalations = 0
-    failed_recovery = RecoveryStats()
-    wasted_s = 0.0
-    wasted_bytes = 0
     while True:
         spec, grant = _grant_spec(base_spec, cfg, escalations)
         device = Device(spec, sanitize=sanitize)
@@ -914,21 +884,12 @@ def run_shard_supervised(
                 raise ShardFailureError(shard, attempt + 1, exc) from exc
             if events is not None:
                 events.append(_event("retry"))
-            failed_recovery.merge(brec)
-            wasted_s += elapsed
-            wasted_bytes += abytes
             attempt += 1
             if fclass == "memory":
                 escalations += 1
             continue
         finally:
             device.close()
-        # success: stamp the supervisor's accounting onto the stats
-        local.stats.attempts = attempt + 1
-        local.stats.fallbacks = attempt
-        local.stats.wasted_s = wasted_s
-        local.stats.wasted_bytes = wasted_bytes
-        local.stats.failed_recovery = failed_recovery
         if events is not None:
             events.append(
                 ShardAttempt(
@@ -950,32 +911,36 @@ def run_shard_supervised(
 # ----------------------------------------------------------------------
 @dataclass
 class ShardedResult:
-    """Labels (original point order) plus sharded-run accounting."""
+    """Labels (original point order) plus sharded-run accounting.
+
+    ``shard_stats`` holds one entry per shard that produced labels (its
+    successful attempt); ``events`` records every supervised attempt and
+    is the source of :attr:`recovery`; ``device_schedule`` is the one
+    modeled makespan (:attr:`makespan_s`).
+    """
 
     labels: np.ndarray
     eps: float
     minpts: int
     plan: ShardPlan
     shard_stats: list[ShardStats]
+    #: event-driven multi-device makespan (builds pinned to devices,
+    #: merge increments overlapped, exchange prefix, finalize tail);
+    #: every supervised attempt, failed ones included, occupies its
+    #: device for its full duration.  Zero tasks for an empty input.
+    device_schedule: DeviceSchedule
     #: wall seconds of the sequential host execution
     serial_s: float = 0.0
     #: merge phase wall seconds (incremental absorbs + finalize)
     merge_s: float = 0.0
-    #: modeled makespan over ``config.n_workers`` shard workers; every
-    #: supervised attempt (including failed ones) occupies its worker
-    #: for its full duration.  Always populated — zero tasks when the
-    #: plan yields zero shards.
-    schedule: Optional[Schedule] = None
     #: the recovery audit trail: one entry per supervised shard attempt
+    #: (the single record of attempts, fallbacks and wasted work)
     events: list[ShardAttempt] = field(default_factory=list)
     # --- multi-device placement layer (DESIGN.md §13) ---
     #: shard→device assignment (:func:`repro.core.placement.place_shards`)
     placement: Optional["DevicePlacement"] = None
     #: modeled collective halo exchange of that placement
     exchange: Optional["CollectiveExchange"] = None
-    #: event-driven multi-device makespan (builds pinned to devices,
-    #: merge increments overlapped, exchange prefix, finalize tail)
-    device_schedule: Optional[DeviceSchedule] = None
     #: devices lost mid-run; their remaining shards were rescheduled
     #: onto the surviving devices
     lost_devices: list[int] = field(default_factory=list)
@@ -990,9 +955,8 @@ class ShardedResult:
 
     @property
     def makespan_s(self) -> float:
-        """Modeled multi-worker wall time (plus the serial merge)."""
-        base = self.schedule.makespan_s if self.schedule else self.serial_s
-        return base + self.merge_s
+        """Modeled wall time of the run: ``device_schedule.makespan_s``."""
+        return self.device_schedule.makespan_s
 
     @property
     def max_peak_device_bytes(self) -> int:
@@ -1006,8 +970,8 @@ class ShardedResult:
         Successful attempts' batch-level :class:`RecoveryStats` come from
         the per-shard stats; everything about failed attempts — including
         the batch recovery performed inside them before they died — comes
-        from the attempt :attr:`events`, so failed-attempt counters are
-        never double-counted with the successful attempt's.  Split
+        from the attempt :attr:`events` alone, so failed-attempt counters
+        are never double-counted with the successful attempt's.  Split
         parents (which never produce stats) are covered by their
         ``"split"`` events.
         """
@@ -1066,17 +1030,14 @@ def cluster_sharded(
     the moment the shard completes, with only border attachment and
     canonicalization left for the serial finalize.  A ``device_lost``
     fault on one of several devices marks it dead and reschedules its
-    remaining shards onto the survivors.  Shard wall times also feed the
-    hostsim multi-worker schedule.
+    remaining shards onto the survivors; the replay's
+    ``device_schedule.makespan_s`` is the run's modeled ``makespan_s``.
     """
     cfg = config or ShardConfig()
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_eps(eps)
     if minpts < 1:
         raise ValueError("minpts must be >= 1")
-    pts_in = np.asarray(points, dtype=np.float64)
-    if pts_in.ndim != 2 or pts_in.shape[1] < 2:
-        raise ValueError("points must be an (n, 2) array")
+    pts_in = as_points(points)
     if len(pts_in) == 0:
         # an empty dataset clusters to zero shards, zero tasks — a
         # well-formed (empty) result, not a planning error
@@ -1085,7 +1046,7 @@ def cluster_sharded(
             config=cfg,
             nx=0,
             ny=0,
-            points=np.ascontiguousarray(pts_in[:, :2]),
+            points=pts_in,
             sort_order=np.empty(0, dtype=np.int64),
             shards=(),
         )
@@ -1095,9 +1056,9 @@ def cluster_sharded(
             minpts=int(minpts),
             plan=plan,
             shard_stats=[],
-            schedule=schedule_parallel([], cfg.n_workers),
+            device_schedule=schedule_devices([], [], n_devices=cfg.n_devices),
         )
-    plan = plan_shards(points, eps, config=cfg)
+    plan = plan_shards(pts_in, eps, config=cfg)
     base_spec = device_spec or DeviceSpec()
 
     # placement imports sharding, so it is imported at call time
@@ -1215,11 +1176,6 @@ def cluster_sharded(
         shard_stats=stats,
         serial_s=serial_s,
         merge_s=merge_total + finalize_s,
-        # every supervised attempt — retries, splits, and successes
-        # alike — occupied a worker for its full duration
-        schedule=schedule_parallel(
-            [e.shard_s for e in events], cfg.n_workers
-        ),
         events=events,
         placement=placement,
         exchange=exchange,

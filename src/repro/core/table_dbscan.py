@@ -39,6 +39,7 @@ from collections import deque
 import numpy as np
 
 from repro.core.neighbor_table import NeighborTable
+from repro.index.base import check_eps
 
 __all__ = [
     "NOISE",
@@ -204,8 +205,7 @@ def dbscan_from_annotated_table(
     """
     if not table.with_distances:
         raise ValueError("requires a table built with_distances=True")
-    if not np.isfinite(eps) or eps <= 0:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    check_eps(eps)
     if eps > table.eps + 1e-12:
         raise ValueError(
             f"table was built for eps={table.eps}; cannot query eps={eps}"

@@ -7,13 +7,16 @@ of scenarios S2 (producer/consumer pipeline) and S3 (16 threads sharing
 one neighbor table) is *modeled*: every task runs serially (producing
 real results and real per-task wall times), and the parallel makespan is
 computed by a deterministic list scheduler over ``n`` simulated cores.
+Every scheduler that picks "the earliest-free worker" books onto the one
+:class:`WorkerPool` (the serving layer's virtual clock too);
+:func:`schedule_devices` pins tasks to devices instead and needs none.
 
 ``mode="threads"`` remains available on the S2/S3 entry points for hosts
 with real cores.
 """
 
 from repro.hostsim.multidevice import DeviceSchedule, schedule_devices
-from repro.hostsim.queueing import WorkerInterval, WorkerPool
+from repro.hostsim.queueing import WorkerPool
 from repro.hostsim.scheduler import (
     PipelineSchedule,
     Schedule,
@@ -28,6 +31,5 @@ __all__ = [
     "Schedule",
     "PipelineSchedule",
     "DeviceSchedule",
-    "WorkerInterval",
     "WorkerPool",
 ]

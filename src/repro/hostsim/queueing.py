@@ -1,13 +1,14 @@
-"""Virtual-clock worker pool for the long-lived serving layer.
+"""Virtual-clock worker pool: the one earliest-free-worker primitive.
 
-The batch schedulers in :mod:`repro.hostsim.scheduler` take a complete
-task list up front; a *service* admits requests one at a time, at
-arrival, and must answer "when could this start?" before deciding
-whether to run it at all (admission control, deadline fitting,
-degradation — :mod:`repro.service`).  :class:`WorkerPool` is the
-incremental counterpart: a min-heap of per-worker free instants on a
-virtual millisecond clock, advanced by modeled execution times — never
-by wall clock — so every serving decision is deterministic.
+A *service* admits requests one at a time, at arrival, and must answer
+"when could this start?" before deciding whether to run it at all
+(admission control, deadline fitting, degradation —
+:mod:`repro.service`).  :class:`WorkerPool` answers it with a min-heap
+of per-worker free instants on a virtual clock, advanced by modeled
+execution times — never by wall clock — so every serving decision is
+deterministic.  The service's clock is in milliseconds; the batch
+schedulers of :mod:`repro.hostsim.scheduler` book their task lists onto
+the same pool in seconds (the clock is unit-agnostic).
 
 The two-phase API mirrors how admission works: ``peek_start`` quotes
 the earliest start for a request arriving *now* (the quote drives the
@@ -19,18 +20,8 @@ is exactly the shape of the single-threaded event loop driving it.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
-__all__ = ["WorkerInterval", "WorkerPool"]
-
-
-@dataclass(frozen=True)
-class WorkerInterval:
-    """One committed busy interval (for utilization reporting)."""
-
-    worker: int
-    start_ms: float
-    end_ms: float
+__all__ = ["WorkerPool"]
 
 
 class WorkerPool:
@@ -40,11 +31,15 @@ class WorkerPool:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = int(n_workers)
+        # ties on the free instant go to the lowest worker id; the
+        # sorted initial list is already a valid heap
         self._free: list[tuple[float, int]] = [
             (0.0, w) for w in range(self.n_workers)
         ]
-        heapq.heapify(self._free)
-        self.intervals: list[WorkerInterval] = []
+        #: total committed busy time across workers
+        self.busy_ms = 0.0
+        #: last committed end instant (0 with nothing committed)
+        self.makespan_ms = 0.0
 
     def peek_start(self, now_ms: float) -> float:
         """Earliest instant a request arriving at ``now_ms`` could start."""
@@ -63,25 +58,11 @@ class WorkerPool:
             raise ValueError(
                 f"start {start_ms} predates worker {worker}'s free instant {free_ms}"
             )
-        heapq.heapreplace(self._free, (float(start_ms) + float(duration_ms), worker))
-        self.intervals.append(
-            WorkerInterval(
-                worker=worker,
-                start_ms=float(start_ms),
-                end_ms=float(start_ms) + float(duration_ms),
-            )
-        )
+        end_ms = float(start_ms) + float(duration_ms)
+        heapq.heapreplace(self._free, (end_ms, worker))
+        self.busy_ms += float(duration_ms)
+        self.makespan_ms = max(self.makespan_ms, end_ms)
         return worker
-
-    @property
-    def busy_ms(self) -> float:
-        """Total committed busy time across workers."""
-        return sum(iv.end_ms - iv.start_ms for iv in self.intervals)
-
-    @property
-    def makespan_ms(self) -> float:
-        """Last committed end instant (0 with nothing committed)."""
-        return max((iv.end_ms for iv in self.intervals), default=0.0)
 
     @property
     def utilization(self) -> float:

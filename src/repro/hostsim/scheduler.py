@@ -9,15 +9,19 @@ Two shapes cover the paper's host-side concurrency:
   another; ``n`` consumers process each item as it becomes ready.  Used
   for S2: the table producer feeds DBSCAN consumers.
 
-Both return full per-task intervals so benches can report utilization,
-not just the makespan.
+Both book their tasks onto :class:`~repro.hostsim.queueing.WorkerPool`
+(quote with ``peek_start``, book with ``commit``) — the one
+earliest-free-worker primitive, ties going to the lowest worker id — and
+return full per-task intervals so benches can report utilization, not
+just the makespan.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Sequence
+
+from repro.hostsim.queueing import WorkerPool
 
 __all__ = ["Schedule", "PipelineSchedule", "schedule_parallel", "schedule_pipeline"]
 
@@ -84,12 +88,7 @@ def _validate(durations: Sequence[float], name: str) -> list[float]:
     return out
 
 
-def schedule_parallel(
-    durations: Sequence[float],
-    n_workers: int,
-    *,
-    per_task_overhead_s: float = 0.0,
-) -> Schedule:
+def schedule_parallel(durations: Sequence[float], n_workers: int) -> Schedule:
     """Greedy in-order dispatch of tasks onto ``n_workers`` cores.
 
     Tasks are dispatched in list order to the earliest-free worker —
@@ -97,20 +96,15 @@ def schedule_parallel(
     ``ThreadPoolExecutor.map``), which is how the paper runs the 16
     concurrent DBSCAN variants of scenario S3.
     """
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
+    pool = WorkerPool(n_workers)
     ds = _validate(durations, "durations")
-    free: list[tuple[float, int]] = [(0.0, w) for w in range(n_workers)]
-    heapq.heapify(free)
     intervals: list[TaskInterval] = []
     for i, d in enumerate(ds):
-        t, w = heapq.heappop(free)
-        end = t + per_task_overhead_s + d
-        intervals.append(TaskInterval(task=i, worker=w, start_s=t, end_s=end))
-        heapq.heappush(free, (end, w))
-    makespan = max((iv.end_s for iv in intervals), default=0.0)
+        t = pool.peek_start(0.0)
+        w = pool.commit(t, d)
+        intervals.append(TaskInterval(task=i, worker=w, start_s=t, end_s=t + d))
     return Schedule(
-        makespan_s=makespan, n_workers=n_workers, intervals=tuple(intervals)
+        makespan_s=pool.makespan_ms, n_workers=n_workers, intervals=tuple(intervals)
     )
 
 
@@ -141,11 +135,9 @@ def schedule_pipeline(
     if len(ps) != len(cs):
         raise ValueError("produce and consume lists must have equal length")
 
-    free: list[tuple[float, int]] = [(0.0, w) for w in range(n_consumers)]
-    heapq.heapify(free)
+    pool = WorkerPool(n_consumers)
     produce_end: list[float] = []
     intervals: list[TaskInterval] = []
-    consume_start_bound = 0.0  # for queue-depth stalling
     t_prod = 0.0
     for i, (p, c) in enumerate(zip(ps, cs, strict=True)):
         # queue-depth back-pressure: item i can only be produced once
@@ -154,16 +146,14 @@ def schedule_pipeline(
             t_prod = max(t_prod, intervals[i - queue_depth].start_s)
         t_prod += p
         produce_end.append(t_prod)
-        t, w = heapq.heappop(free)
-        start = max(t, t_prod)
-        end = start + c
-        intervals.append(TaskInterval(task=i, worker=w, start_s=start, end_s=end))
-        heapq.heappush(free, (end, w))
-    makespan = max(
-        [iv.end_s for iv in intervals] + produce_end, default=0.0
-    )
+        start = pool.peek_start(t_prod)
+        w = pool.commit(start, c)
+        intervals.append(
+            TaskInterval(task=i, worker=w, start_s=start, end_s=start + c)
+        )
     return PipelineSchedule(
-        makespan_s=makespan,
+        # the producer clock only moves forward: its last end is its max
+        makespan_s=max(pool.makespan_ms, t_prod),
         n_consumers=n_consumers,
         produce_end_s=tuple(produce_end),
         consume_intervals=tuple(intervals),

@@ -6,7 +6,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-__all__ = ["SpatialIndex", "BruteForceIndex", "as_points"]
+__all__ = ["SpatialIndex", "BruteForceIndex", "as_points", "check_eps"]
 
 
 def as_points(points: np.ndarray) -> np.ndarray:
@@ -17,6 +17,13 @@ def as_points(points: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
     return np.ascontiguousarray(pts)
+
+
+def check_eps(eps: float) -> None:
+    """Reject a non-finite or non-positive ``eps`` (NaN fails every
+    ``eps <= 0`` guard, so finiteness is checked first)."""
+    if not np.isfinite(eps) or eps <= 0:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
 
 
 @runtime_checkable

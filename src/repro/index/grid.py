@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from repro._nputil import run_boundaries
-from repro.index.base import as_points
+from repro.index.base import as_points, check_eps
 
 __all__ = ["GridIndex", "GridStats"]
 
@@ -89,8 +89,7 @@ class GridIndex:
         same dataset for a new ε in scenario S2).
         """
         pts = as_points(points)
-        if eps <= 0:
-            raise ValueError("eps must be positive")
+        check_eps(eps)
         if len(pts) == 0:
             raise ValueError("cannot index an empty dataset")
 

@@ -301,14 +301,17 @@ class TestMultiDeviceExecutor:
         res = cluster_sharded(np.empty((0, 2)), 0.3, 4)
         assert len(res.labels) == 0
         assert res.n_clusters == 0
-        assert res.schedule is not None
-        assert res.schedule.makespan_s == 0.0
-        assert res.schedule.intervals == ()
+        ds = res.device_schedule
+        assert ds is not None
+        assert ds.makespan_s == 0.0
+        assert ds.build_intervals == ()
+        assert ds.merge_intervals == ()
         assert res.makespan_s == 0.0
 
     def test_empty_input_still_validates(self):
-        with pytest.raises(ValueError):
-            cluster_sharded(np.empty((0, 2)), -1.0, 4)
+        for eps in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="eps"):
+                cluster_sharded(np.empty((0, 2)), eps, 4)
         with pytest.raises(ValueError):
             cluster_sharded(np.empty((0, 3, 2)), 0.3, 4)
         for minpts in (0, -3):
@@ -362,8 +365,8 @@ class TestMultiDeviceExecutor:
 
 class TestMakespanAccounting:
     def test_failed_attempts_occupy_workers(self, blobs_points):
-        """Satellite regression: a retried shard's failed attempt must
-        appear in the modeled schedule — the schedule has one task per
+        """Regression: a retried shard's failed attempt must appear in the
+        modeled schedule — the device schedule has one build interval per
         supervised attempt, not one per successful shard."""
         eps, minpts = 0.5, 4
         ff = make_shard_fault_factory(
@@ -376,13 +379,11 @@ class TestMakespanAccounting:
             config=ShardConfig(shards_x=3, shards_y=3, fault_factory=ff),
         )
         assert res.recovery.fallback_placements >= 1
-        assert res.schedule is not None
-        assert len(res.schedule.intervals) == len(res.events)
+        ds = res.device_schedule
+        assert ds is not None
+        assert len(ds.build_intervals) == len(res.events)
         assert len(res.events) > len(res.shard_stats)
-        # the schedule's total busy time includes the wasted attempts
-        assert res.schedule.serial_s == pytest.approx(
-            sum(e.shard_s for e in res.events)
-        )
-        assert res.schedule.serial_s > sum(
-            s.shard_s for s in res.shard_stats
-        )
+        # the devices' total busy time includes the wasted attempts
+        busy = ds.device_busy_s(0)
+        assert busy == pytest.approx(sum(e.shard_s for e in res.events))
+        assert busy > sum(s.shard_s for s in res.shard_stats)

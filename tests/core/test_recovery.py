@@ -73,7 +73,6 @@ class TestAcceptance:
         # as two split halves
         assert stats.n_batches_run == plan.n_batches + 1
         assert stats.recovery.splits + stats.recovery.regrows == 1
-        assert stats.recovery.restarts == 0
         assert stats.recovery.wasted_kernel_s > 0
         assert _neighbors(table) == reference
 
@@ -88,7 +87,6 @@ class TestAcceptance:
         assert stats.n_batches_run == plan.n_batches
         assert stats.recovery.regrows == 1
         assert stats.recovery.splits == 0
-        assert stats.recovery.restarts == 0
         assert _neighbors(table) == reference
 
     def test_injector_attached_to_device_is_used(self, reference):
@@ -190,43 +188,63 @@ class TestPinnedAccounting:
 
 
 class TestStatsReset:
-    def test_failed_restart_attempts_excluded_from_phase_stats(
-        self, monkeypatch
-    ):
-        """Regression: phase seconds used to accumulate across failed
-        restart attempts.  With a fake clock ticking +1 per reading,
-        every successful batch contributes exactly 1 to ``kernel_s``, so
-        the total must equal the successful attempt's batch count."""
+    @pytest.fixture
+    def fake_clock(self, monkeypatch):
+        """A clock ticking +1 per reading: every completed unit then
+        contributes exactly 1 to each timed phase, and a unit that fails
+        contributes the ticks it read before failing."""
         import repro.core.batching as batching
 
         ticks = itertools.count()
         monkeypatch.setattr(
             batching, "time", SimpleNamespace(perf_counter=lambda: next(ticks))
         )
-        cfg = _cfg(n_streams=1, recovery="restart")
+
+    def test_failed_unit_excluded_from_phase_stats(self, reference, fake_clock):
+        """Regression: phase seconds must count only completed units; the
+        failed unit's seconds land in ``wasted_kernel_s`` alone."""
+        cfg = _cfg(n_streams=1)
         plan = _plan(cfg, n_batches=4)
-        # batches 0 and 1 complete, batch 2 fails -> attempt discarded,
-        # restart with 8 batches succeeds
+        # batch 2 overflows after its kernel (1 tick) and splits in two;
+        # batches 0, 1, 3 and both halves complete
         table, stats = build_neighbor_table(
             _grid(), Device(), config=cfg, plan=plan,
             faults=FaultInjector.overflow_at(2),
         )
-        assert stats.recovery.restarts == 1
-        assert stats.n_batches_run == 8
+        assert stats.recovery.splits == 1
+        assert stats.n_batches_run == 5
         assert stats.kernel_s == stats.n_batches_run
         assert stats.sort_s == stats.n_batches_run
         assert stats.transfer_s == stats.n_batches_run
         assert stats.host_copy_s == stats.n_batches_run
-        # the discarded attempt: 2 completed batches x 3 timed phases,
-        # plus 1 tick inside the failed unit
-        assert stats.recovery.wasted_kernel_s == 7
-        assert _neighbors(table) == [
-            sorted(table.neighbors(i).tolist()) for i in range(table.n_points)
-        ]
+        assert stats.recovery.wasted_kernel_s == 1
+        assert _neighbors(table) == reference
+
+    def test_exhausted_transfer_retries_charge_the_failed_build(
+        self, fake_clock
+    ):
+        """A build that gives up raises with its partial stats attached;
+        every kernel, sort and transfer second of the thrown-away build
+        is charged to ``wasted_kernel_s``."""
+        cfg = _cfg(n_streams=1, max_transfer_retries=2)
+        plan = _plan(cfg, n_batches=4)
+        faults = FaultInjector(
+            [FaultSpec("transfer", frozenset({2}), times=None)]
+        )
+        with pytest.raises(TransferError) as ei:
+            build_neighbor_table(
+                _grid(), Device(), config=cfg, plan=plan, faults=faults
+            )
+        stats = ei.value.build_stats
+        assert stats.n_batches_run == 2
+        assert stats.recovery.transfer_retries == 2
+        # 3 failed transfers x 3 ticks (kernel, sort, failed transfer),
+        # plus batches 0 and 1 x 3 timed phases (kernel, sort, transfer)
+        assert stats.recovery.wasted_kernel_s == 3 * 3 + 2 * 3
 
 
 FAULT_KINDS = st.sampled_from(["overflow", "transfer"])
-STRATEGIES = st.sampled_from(["auto", "split", "regrow", "restart"])
+STRATEGIES = st.sampled_from(["auto", "split", "regrow"])
 
 
 class TestRecoveryProperties:
@@ -273,6 +291,5 @@ class TestRecoveryProperties:
         table, stats = build_neighbor_table(
             _grid(), Device(), config=cfg, plan=plan, faults=faults
         )
-        assert stats.recovery.restarts == 0
         assert stats.recovery.recoveries >= 1
         assert _neighbors(table) == reference

@@ -86,9 +86,24 @@ class TestPlanner:
         with pytest.raises(ValueError):
             ShardConfig(shards_x=0)
         with pytest.raises(ValueError):
-            ShardConfig(n_workers=0)
+            ShardConfig(n_devices=0)
         with pytest.raises(ValueError):
             ShardConfig(device_mem_bytes=-1)
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            plan_shards(_pts(0), float("nan"))
+        # the sharded entry points validate points exactly like ``fit``
+        for bad in (
+            np.random.default_rng(0).random((40, 3)),  # not (n, 2)
+            np.array([[0.0, 0.0], [np.nan, 1.0]]),  # non-finite
+        ):
+            with pytest.raises(ValueError) as fit_err:
+                HybridDBSCAN().fit(bad, 0.1, 4)
+            with pytest.raises(ValueError) as shard_err:
+                cluster_sharded(bad, 0.1, 4)
+            with pytest.raises(ValueError) as plan_err:
+                plan_shards(bad, 0.1)
+            assert str(shard_err.value) == str(fit_err.value)
+            assert str(plan_err.value) == str(fit_err.value)
 
 
 class TestEquivalence:
@@ -188,16 +203,19 @@ class TestOutOfCore:
         pts = _pts(21, n=300)
         res = cluster_sharded(
             pts, 0.08, 4,
-            config=ShardConfig(shards_x=2, shards_y=2, n_workers=2),
+            config=ShardConfig(shards_x=2, shards_y=2),
         )
         assert sum(s.n_interior for s in res.shard_stats) == len(pts)
         assert all(s.shard_s > 0 for s in res.shard_stats)
         assert all(s.peak_pinned_bytes > 0 for s in res.shard_stats)
-        # the modeled 2-worker makespan can't beat the critical path
-        # nor exceed the serial sum
+        # the one modeled makespan: one device drains its queue back to
+        # back, so it can't beat the serial build sum nor exceed the run
+        # with nothing overlapped
+        ds = res.device_schedule
+        assert res.makespan_s == ds.makespan_s
         total = sum(s.shard_s for s in res.shard_stats)
-        longest = max(s.shard_s for s in res.shard_stats)
-        assert longest <= res.schedule.makespan_s <= total + 1e-9
+        assert total <= ds.makespan_s + 1e-9
+        assert ds.makespan_s <= ds.serial_s + 1e-9
         d = res.shard_stats[0].as_dict()
         assert {"tile", "n_interior", "n_pairs", "peak_device_bytes",
                 "recovery"} <= d.keys()

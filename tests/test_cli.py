@@ -81,6 +81,8 @@ class TestCluster:
         assert payload["shards"] >= 1
         assert payload["peak_device_bytes"] <= 4 * (1 << 20)
         assert len(payload["per_shard"]) == payload["shards"]
+        # one modeled makespan, reported on one device too
+        assert payload["makespan_s"] == payload["device_schedule"]["makespan_s"]
 
     def test_sharded_batch_fault_injection_recovers(
         self, capsys, points_file, tmp_path

@@ -37,10 +37,6 @@ class TestScheduleParallel:
     def test_empty(self):
         assert schedule_parallel([], 4).makespan_s == 0.0
 
-    def test_per_task_overhead(self):
-        s = schedule_parallel([1.0, 1.0], 2, per_task_overhead_s=0.5)
-        assert s.makespan_s == 1.5
-
     def test_validation(self):
         with pytest.raises(ValueError):
             schedule_parallel([1.0], 0)
