@@ -41,13 +41,12 @@ def _setup():
     return grid, probe, buf
 
 
-def _run(grid, buf: int, recovery: str, inject: bool):
+def _run(grid, buf: int, inject: bool):
     cfg = BatchConfig(
         static_threshold=1,
         static_buffer_size=buf,
         min_buffer_size=128,
         alpha=0.0,
-        recovery=recovery,
     )
     plan = BatchPlanner(cfg).plan_from_estimate(eb=1, ab=N_BATCHES * buf)
     assert plan.n_batches == N_BATCHES
@@ -59,10 +58,10 @@ def _run(grid, buf: int, recovery: str, inject: bool):
     return time.perf_counter() - t0, table, stats
 
 
-def _best_of(grid, buf, recovery, inject):
+def _best_of(grid, buf, inject):
     best = None
     for _ in range(REPEATS):
-        wall, table, stats = _run(grid, buf, recovery, inject)
+        wall, table, stats = _run(grid, buf, inject)
         if best is None or wall < best[0]:
             best = (wall, table, stats)
     return best
@@ -80,10 +79,10 @@ def _same_table(a, b) -> bool:
 def test_ablation_overflow_recovery(benchmark):
     grid, reference, buf = _setup()
 
-    clean_wall, clean_table, _ = _best_of(grid, buf, "auto", inject=False)
+    clean_wall, clean_table, _ = _best_of(grid, buf, inject=False)
     assert _same_table(clean_table, reference)
 
-    auto_wall, auto_table, auto_stats = _best_of(grid, buf, "auto", inject=True)
+    auto_wall, auto_table, auto_stats = _best_of(grid, buf, inject=True)
 
     # the recovered table is byte-for-byte the fault-free result
     assert _same_table(auto_table, reference)
@@ -94,13 +93,13 @@ def test_ablation_overflow_recovery(benchmark):
     assert auto_stats.n_batches_run == N_BATCHES + 1
 
     benchmark.pedantic(
-        lambda: _run(grid, buf, "auto", inject=True), rounds=1, iterations=1
+        lambda: _run(grid, buf, inject=True), rounds=1, iterations=1
     )
 
     rows = [
         ["fault-free", round(clean_wall * 1e3, 2), N_BATCHES, "clean"],
         [
-            "per-batch (auto)",
+            "per-batch",
             round(auto_wall * 1e3, 2),
             auto_stats.n_batches_run,
             recovery_summary(auto_stats.recovery),

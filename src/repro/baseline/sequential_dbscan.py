@@ -20,7 +20,7 @@ from typing import Literal, Optional
 import numpy as np
 
 from repro.core.table_dbscan import NOISE, canonicalize_labels
-from repro.index.base import BruteForceIndex, as_points
+from repro.index.base import BruteForceIndex, as_points, validate_inputs
 from repro.index.grid import GridIndex
 from repro.index.rtree import RTree
 
@@ -102,11 +102,7 @@ def sequential_dbscan(
     the paper reuses its R-tree across ε values on one dataset, since it
     excludes construction time from the comparison).
     """
-    pts = as_points(points)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if minpts < 1:
-        raise ValueError("minpts must be >= 1")
+    pts = validate_inputs(points, eps, minpts)
     idx = index or IndexedPoints(
         pts, index_kind, eps_for_grid=eps if index_kind == "grid" else None
     )

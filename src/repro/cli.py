@@ -39,7 +39,6 @@ import numpy as np
 
 from repro import __version__
 from repro.core import (
-    BatchConfig,
     HybridDBSCAN,
     MultiClusterPipeline,
     ShardConfig,
@@ -53,6 +52,7 @@ from repro.core import (
 )
 from repro.data import DATASETS, dataset, density_profile, load_points
 from repro.gpusim import Device, FaultInjector, FaultSpec, derive_seed
+from repro.index.base import InvalidInputError, check_minpts
 
 __all__ = ["main", "build_parser"]
 
@@ -120,12 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
              "the simulated GPU; labels bit-identical)",
     )
     c.add_argument("--labels-out", help="write labels to this .npy file")
-    c.add_argument(
-        "--recovery",
-        choices=["auto", "split", "regrow"],
-        default="auto",
-        help="overflow recovery strategy for the batched table build",
-    )
     c.add_argument(
         "--inject-overflow", type=int, nargs="*", metavar="BATCH", default=None,
         help="fault injection: overflow the result buffer at these batch "
@@ -351,7 +345,6 @@ def _cmd_cluster(args) -> int:
     res = HybridDBSCAN(
         device,
         kernel=args.kernel,
-        batch_config=BatchConfig(recovery=args.recovery),
         cluster_on=args.cluster_on,
     ).fit(pts, args.eps, args.minpts)
     if args.labels_out:
@@ -442,7 +435,6 @@ def _cmd_cluster_sharded(args, pts: np.ndarray) -> int:
                 fault_factory=_shard_fault_factory(args),
             ),
             kernel=args.kernel,
-            batch_config=BatchConfig(recovery=args.recovery),
             sanitize=True if args.sanitize else None,
             cluster_on=args.cluster_on,
         )
@@ -547,6 +539,7 @@ def _cmd_reuse(args) -> int:
 
 def _cmd_optics(args) -> int:
     pts = _load(args.points, args.scale)
+    check_minpts(args.minpts)  # before the build; OPTICS reads it after
     h = HybridDBSCAN(_device(args))
     grid, table, _ = h.build_table(pts, args.eps, with_distances=True)
     result = optics(table, args.minpts)
@@ -580,7 +573,7 @@ def _cmd_optics(args) -> int:
 def _cmd_info(args) -> int:
     pts = _load(args.points, args.scale)
     span = pts.max(axis=0) - pts.min(axis=0)
-    eps = args.eps or float(min(span) / 50)
+    eps = args.eps if args.eps is not None else float(min(span) / 50)
     prof = density_profile(pts, eps)
     _emit(
         {
@@ -764,8 +757,13 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command; invalid input exits 2 with a one-line error."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except InvalidInputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -23,11 +23,11 @@ built in ``n_b`` batches:
 
 When a batch still overflows its buffer (the estimate lost to an
 adversarial density), recovery is **per batch**: the failed batch is
-split in two (or its worker's buffer is regrown, bounded by the memory
-pool's free bytes) and re-run on the same stream while every completed
-batch is kept — O(failed batches) re-work.  :class:`RecoveryStats`
-accounts for the recovery work (splits, regrows, retries, wasted
-kernel-seconds).
+split in two (a lone point regrows its worker's buffer instead, bounded
+by the memory pool's free bytes) and re-run on the same stream while
+every completed batch is kept — O(failed batches) re-work.
+:class:`RecoveryStats` accounts for the recovery work (splits, regrows,
+retries, wasted kernel-seconds).
 
 At repo scale the paper's thresholds would always yield the 3-batch
 minimum, so :class:`BatchConfig` defaults to 1/100-scaled thresholds;
@@ -91,10 +91,6 @@ class BatchConfig:
     min_buffer_size: int = 1024
     #: strided (paper) or contiguous (ablation) batch assignment
     batch_order: Literal["strided", "contiguous"] = "strided"
-    #: overflow recovery strategy: ``auto`` splits the failed batch and
-    #: falls back to regrowing the worker's buffer; ``split`` / ``regrow``
-    #: force one mechanism
-    recovery: Literal["auto", "split", "regrow"] = "auto"
     #: bound on recursive per-batch recovery (split depth / regrow count)
     max_recovery_depth: int = 16
     #: re-runs of a batch whose staging transfer failed
@@ -107,8 +103,6 @@ class BatchConfig:
             raise ValueError("sample_fraction must be in (0, 1]")
         if self.n_streams < 1:
             raise ValueError("n_streams must be >= 1")
-        if self.recovery not in ("auto", "split", "regrow"):
-            raise ValueError(f"unknown recovery strategy {self.recovery!r}")
         if self.max_recovery_depth < 0:
             raise ValueError("max_recovery_depth must be >= 0")
         if self.max_transfer_retries < 0:
@@ -279,10 +273,10 @@ def build_neighbor_table(
     memory, and ingests it into the (thread-safe) table.
 
     If a batch overflows its device buffer (the estimate was too low
-    despite α), recovery is per batch and governed by
-    ``config.recovery``: the failed batch is split in two or its
-    worker's buffer is regrown (bounded by the device pool's free
-    bytes) and re-run on the same stream; completed batches are kept.
+    despite α), recovery is per batch: the failed unit is split in two
+    (a lone point instead regrows its worker's buffer, bounded by the
+    device pool's free bytes) and re-run on the same stream, at most
+    ``config.max_recovery_depth`` deep; completed batches are kept.
     Failed staging transfers (fault injection) are retried up to
     ``config.max_transfer_retries`` times in every mode.
 
@@ -474,8 +468,8 @@ def _run_batches(
         """Run batch ``l`` with per-unit recovery.
 
         Work units are (ids, depth) pairs; ``ids=None`` is the whole
-        batch.  A unit that overflows is split in two or retried after a
-        buffer regrow; a unit whose staging transfer fails is re-run.
+        batch.  A unit that overflows is split in two (a lone point is
+        retried after a buffer regrow); a failed staging transfer re-runs.
         """
         stack: list[tuple[Optional[np.ndarray], int]] = [(None, 0)]
         transfer_failures = 0
@@ -507,7 +501,7 @@ def _run_batches(
                 else batch_point_ids(len(grid), l, n_batches, cfg.batch_order)
             )
             in_depth = depth < cfg.max_recovery_depth
-            if cfg.recovery in ("auto", "split") and in_depth and len(unit_ids) > 1:
+            if in_depth and len(unit_ids) > 1:
                 mid = len(unit_ids) // 2
                 with stats_lock:
                     stats.recovery.splits += 1
@@ -515,7 +509,7 @@ def _run_batches(
                 stack.append((unit_ids[mid:], depth + 1))
                 stack.append((unit_ids[:mid], depth + 1))
                 continue
-            if cfg.recovery in ("auto", "regrow") and in_depth and try_regrow(worker):
+            if in_depth and try_regrow(worker):
                 with stats_lock:
                     stats.recovery.regrows += 1
                     stats.recovery.retries += 1
@@ -523,7 +517,7 @@ def _run_batches(
                 continue
             raise ResultBufferOverflow(
                 f"batch {l}: recovery exhausted at depth {depth} "
-                f"(strategy {cfg.recovery!r}, unit of {len(unit_ids)} points, "
+                f"(unit of {len(unit_ids)} points, "
                 f"buffer {result_bufs[worker].capacity} pairs)"
             )
 

@@ -28,6 +28,7 @@ from repro.core.neighbor_table import NeighborTable
 from repro.core.table_dbscan import NOISE, canonicalize_labels
 from repro.gpusim.device import Device
 from repro.gpusim.launch import launch
+from repro.index.base import check_minpts
 from repro.kernels.cluster_kernels import (
     BorderAttachKernel,
     ClusterUnionFindKernel,
@@ -87,8 +88,7 @@ def device_cluster_table(
     classified.  When ``device`` is omitted a fresh one is created and
     closed (leak-checked) before returning.
     """
-    if minpts < 1:
-        raise ValueError("minpts must be >= 1")
+    check_minpts(minpts)
     n = table.n_points
     own_device = device is None
     if own_device:

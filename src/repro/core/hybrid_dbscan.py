@@ -31,6 +31,7 @@ from repro.core.batching import (
 from repro.core.neighbor_table import NeighborTable
 from repro.core.table_dbscan import NOISE, dbscan_from_table
 from repro.gpusim.device import Device
+from repro.index.base import check_minpts
 from repro.index.grid import GridIndex
 
 __all__ = ["TimingBreakdown", "DBSCANResult", "HybridDBSCAN"]
@@ -230,6 +231,7 @@ class HybridDBSCAN:
     # ------------------------------------------------------------------
     def fit(self, points: np.ndarray, eps: float, minpts: int) -> DBSCANResult:
         """Cluster ``points`` for one variant ``(ε, minpts)``."""
+        check_minpts(minpts)  # points and ε are checked by the grid build
         t0 = time.perf_counter()
         grid, table, timings = self.build_table(points, eps)
         t1 = time.perf_counter()

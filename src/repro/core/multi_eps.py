@@ -24,6 +24,7 @@ import numpy as np
 from repro.core.hybrid_dbscan import HybridDBSCAN
 from repro.core.table_dbscan import NOISE, dbscan_from_annotated_table
 from repro.hostsim import schedule_parallel
+from repro.index.base import check_eps, check_minpts
 
 __all__ = ["EpsSweepOutcome", "EpsSweepResult", "cluster_eps_sweep"]
 
@@ -75,13 +76,10 @@ def cluster_eps_sweep(
     eps_values = [float(e) for e in eps_values]
     if not eps_values:
         raise ValueError("eps_values must be non-empty")
-    if any(e <= 0 for e in eps_values):
-        raise ValueError("eps values must be positive")
-    # validate the cheap scalar arguments *before* the expensive
-    # annotated table build — a bad minpts must fail in microseconds,
-    # not after a full GPU pass
-    if minpts < 1:
-        raise ValueError("minpts must be >= 1")
+    # before the table build, which checks the points (at the largest ε)
+    check_minpts(minpts)
+    for e in eps_values:
+        check_eps(e)
     if n_threads < 1:
         raise ValueError("n_threads must be >= 1")
     h = hybrid or HybridDBSCAN()

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.neighbor_table import NeighborTable
 from repro.core.table_dbscan import NOISE, canonicalize_labels
+from repro.index.base import check_eps, check_minpts
 
 __all__ = ["OpticsResult", "optics", "core_distances", "extract_dbscan"]
 
@@ -36,8 +37,7 @@ def core_distances(table: NeighborTable, minpts: int) -> np.ndarray:
     """
     if not table.with_distances:
         raise ValueError("requires an annotated table")
-    if minpts < 1:
-        raise ValueError("minpts must be >= 1")
+    check_minpts(minpts)
     n = table.n_points
     out = np.full(n, UNDEFINED, dtype=np.float64)
     counts = table.neighbor_counts()
@@ -123,6 +123,7 @@ def extract_dbscan(result: OpticsResult, eps: float) -> np.ndarray:
     """DBSCAN-equivalent labels at ``eps ≤ result.eps`` from the
     reachability ordering (ExtractDBSCAN-Clustering of the OPTICS
     paper)."""
+    check_eps(eps)
     if eps > result.eps + 1e-12:
         raise ValueError(
             f"ordering was computed for eps={result.eps}; cannot extract {eps}"

@@ -26,6 +26,7 @@ from repro.core.hybrid_dbscan import HybridDBSCAN
 from repro.core.table_dbscan import NOISE
 from repro.core.variants import Variant, VariantSet
 from repro.hostsim import schedule_pipeline
+from repro.index.base import validate_inputs
 
 __all__ = ["VariantOutcome", "PipelineResult", "MultiClusterPipeline"]
 
@@ -115,6 +116,9 @@ class MultiClusterPipeline:
         """
         if mode not in ("simulate", "threads"):
             raise ValueError(f"unknown mode {mode!r}")
+        # checked once, before any build, at the finest grid (smallest ε)
+        finest = min(variants, key=lambda v: v.eps)
+        points = validate_inputs(points, finest.eps, finest.minpts)
         if not pipelined:
             return self._run_sequential(points, variants)
         if mode == "simulate":

@@ -194,7 +194,7 @@ def place_shards(
         len(s.interior_ids) + len(s.halo_ids) for s in plan.shards
     )
     assignment = np.zeros(n, dtype=np.int64)
-    if n and n_devices > 1:
+    if n_devices > 1:
         if strategy == "round-robin":
             assignment = np.arange(n, dtype=np.int64) % n_devices
         else:
@@ -284,8 +284,6 @@ def collective_exchange(
     """
     d = placement.n_devices
     matrix = np.zeros((d, d), dtype=np.int64)
-    if plan.n_points == 0 or not plan.shards:
-        return CollectiveExchange(matrix, staged_points=0)
     owner = np.full(plan.n_points, -1, dtype=np.int64)
     for i, s in enumerate(plan.shards):
         owner[s.interior_ids] = placement.assignment[i]

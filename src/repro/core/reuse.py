@@ -19,6 +19,7 @@ import numpy as np
 from repro.core.hybrid_dbscan import HybridDBSCAN
 from repro.core.table_dbscan import NOISE
 from repro.hostsim import schedule_parallel
+from repro.index.base import check_minpts
 
 __all__ = [
     "ReuseVariantError",
@@ -110,6 +111,8 @@ def cluster_with_reuse(
         raise ValueError("n_threads must be >= 1")
     if not minpts_values:
         raise ValueError("minpts_values must be non-empty")
+    for m in minpts_values:  # before the build, which checks points and ε
+        check_minpts(m)
     if mode not in ("simulate", "threads"):
         raise ValueError(f"unknown mode {mode!r}")
     h = hybrid or HybridDBSCAN()

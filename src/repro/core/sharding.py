@@ -108,8 +108,8 @@ from repro.gpusim.faults import (
     derive_seed,
 )
 from repro.hostsim import DeviceSchedule, schedule_devices
-from repro.index.base import as_points, check_eps
-from repro.index.grid import GridIndex
+from repro.index.base import as_points, check_eps, check_minpts
+from repro.index.grid import GridGeometry, GridIndex, point_extent
 
 if TYPE_CHECKING:  # placement imports sharding; annotations only here
     from repro.core.placement import CollectiveExchange, DevicePlacement
@@ -252,13 +252,13 @@ class ShardPlan:
 
     eps: float
     config: ShardConfig
-    #: global ε-cell grid dimensions (as the single-device index uses)
-    nx: int
-    ny: int
     #: points in global spatial sort order (the shared ``D``)
     points: np.ndarray
     #: permutation such that ``points == original[sort_order]``
     sort_order: np.ndarray
+    #: global cell column / row of each point (quad-splits reuse them)
+    cell_x: np.ndarray
+    cell_y: np.ndarray
     #: non-empty shards only (tiles without interior points are skipped)
     shards: tuple[Shard, ...]
 
@@ -269,22 +269,6 @@ class ShardPlan:
     @property
     def n_shards(self) -> int:
         return len(self.shards)
-
-
-def _global_cell_coords(
-    pts: np.ndarray, eps: float
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Per-point ε-cell coordinates of the *global* grid (identical to
-    what :meth:`GridIndex.build` computes for the whole dataset)."""
-    xmin, ymin = pts.min(axis=0)
-    xmax, ymax = pts.max(axis=0)
-    nx = max(1, int(np.floor((xmax - xmin) / eps)) + 1)
-    ny = max(1, int(np.floor((ymax - ymin) / eps)) + 1)
-    cx = np.floor((pts[:, 0] - xmin) / eps).astype(np.int64)
-    cy = np.floor((pts[:, 1] - ymin) / eps).astype(np.int64)
-    np.clip(cx, 0, nx - 1, out=cx)
-    np.clip(cy, 0, ny - 1, out=cy)
-    return cx, cy, nx, ny
 
 
 def exchange_halos(
@@ -322,46 +306,57 @@ def plan_shards(
     cfg = config or ShardConfig()
     check_eps(eps)
     pts = as_points(points)
-    if len(pts) == 0:
-        raise ValueError("cannot shard an empty dataset")
-
+    # the single-device grid's cells (and the contract's extent bound)
+    g = GridGeometry.over(point_extent(pts), eps)
     order = GridIndex.spatial_sort_order(pts)
     spts = np.ascontiguousarray(pts[order])
-    cx, cy, nx, ny = _global_cell_coords(spts, eps)
+    cx, cy = g.cells_of(spts)
 
     # ε-aligned tiles: whole-cell rectangles of ceil(n/k) cells per side
-    cpt_x = -(-nx // cfg.shards_x)  # ceil div
-    cpt_y = -(-ny // cfg.shards_y)
-    shards: list[Shard] = []
-    for ty in range(cfg.shards_y):
-        cy0, cy1 = ty * cpt_y, min((ty + 1) * cpt_y, ny)
-        if cy0 >= ny:
-            break
-        for tx in range(cfg.shards_x):
-            cx0, cx1 = tx * cpt_x, min((tx + 1) * cpt_x, nx)
-            if cx0 >= nx:
-                break
-            in_tile = (cx >= cx0) & (cx < cx1) & (cy >= cy0) & (cy < cy1)
-            interior = np.flatnonzero(in_tile).astype(np.int64)
-            if len(interior) == 0:
-                continue  # empty tile: nothing is interior here
-            halo = exchange_halos(cx, cy, (cx0, cx1, cy0, cy1))
-            shards.append(
-                Shard(
-                    tx=tx, ty=ty,
-                    cx0=cx0, cx1=cx1, cy0=cy0, cy1=cy1,
-                    interior_ids=interior, halo_ids=halo,
-                )
-            )
+    # (tiles past the grid's edge hold no point and are dropped)
+    cpt_x = -(-g.nx // cfg.shards_x)  # ceil div
+    cpt_y = -(-g.ny // cfg.shards_y)
+    tiles = (
+        _tile(cx, cy, (
+            tx * cpt_x, min((tx + 1) * cpt_x, g.nx),
+            ty * cpt_y, min((ty + 1) * cpt_y, g.ny),
+        ), tx, ty)
+        for ty in range(cfg.shards_y)
+        for tx in range(cfg.shards_x)
+    )
     return ShardPlan(
         eps=float(eps),
         config=cfg,
-        nx=nx,
-        ny=ny,
         points=spts,
         sort_order=order,
-        shards=tuple(shards),
+        cell_x=cx,
+        cell_y=cy,
+        shards=tuple(t for t in tiles if t is not None),
     )
+
+
+def _tile(
+    cx: np.ndarray, cy: np.ndarray, bounds: tuple[int, ...], tx: int, ty: int, generation: int = 0
+) -> Optional[Shard]:
+    """Shard of the ε-aligned tile ``bounds = (cx0, cx1, cy0, cy1)``; None if no point is inside."""
+    cx0, cx1, cy0, cy1 = bounds
+    in_tile = (cx >= cx0) & (cx < cx1) & (cy >= cy0) & (cy < cy1)
+    interior = np.flatnonzero(in_tile).astype(np.int64)
+    if len(interior) == 0:
+        return None
+    return Shard(
+        tx=tx, ty=ty,
+        cx0=cx0, cx1=cx1, cy0=cy0, cy1=cy1,
+        interior_ids=interior,
+        halo_ids=exchange_halos(cx, cy, bounds),
+        generation=generation,
+    )
+
+
+def _halves(lo: int, hi: int) -> list[tuple[int, int]]:
+    """The cell range ``[lo, hi)`` bisected, or whole if one cell wide."""
+    mid = lo + (hi - lo) // 2
+    return [(lo, hi)] if hi - lo < 2 else [(lo, mid), (mid, hi)]
 
 
 def quad_split_shard(plan: ShardPlan, shard: Shard) -> list[Shard]:
@@ -380,39 +375,17 @@ def quad_split_shard(plan: ShardPlan, shard: Shard) -> list[Shard]:
     :func:`plan_shards`).  A single-cell tile cannot be split: returns
     an empty list, and the supervisor falls back to an escalated retry.
     """
-    w = shard.cx1 - shard.cx0
-    h = shard.cy1 - shard.cy0
-    if w < 2 and h < 2:
+    x_ranges = _halves(shard.cx0, shard.cx1)
+    y_ranges = _halves(shard.cy0, shard.cy1)
+    if len(x_ranges) == len(y_ranges) == 1:
         return []
-    if w < 2:
-        x_ranges = [(shard.cx0, shard.cx1)]
-    else:
-        xm = shard.cx0 + w // 2
-        x_ranges = [(shard.cx0, xm), (xm, shard.cx1)]
-    if h < 2:
-        y_ranges = [(shard.cy0, shard.cy1)]
-    else:
-        ym = shard.cy0 + h // 2
-        y_ranges = [(shard.cy0, ym), (ym, shard.cy1)]
-
-    cx, cy, _, _ = _global_cell_coords(plan.points, plan.eps)
-    children: list[Shard] = []
-    for cy0, cy1 in y_ranges:
-        for cx0, cx1 in x_ranges:
-            in_tile = (cx >= cx0) & (cx < cx1) & (cy >= cy0) & (cy < cy1)
-            interior = np.flatnonzero(in_tile).astype(np.int64)
-            if len(interior) == 0:
-                continue
-            halo = exchange_halos(cx, cy, (cx0, cx1, cy0, cy1))
-            children.append(
-                Shard(
-                    tx=shard.tx, ty=shard.ty,
-                    cx0=cx0, cx1=cx1, cy0=cy0, cy1=cy1,
-                    interior_ids=interior, halo_ids=halo,
-                    generation=shard.generation + 1,
-                )
-            )
-    return children
+    children = (
+        _tile(plan.cell_x, plan.cell_y, (cx0, cx1, cy0, cy1),
+              shard.tx, shard.ty, shard.generation + 1)
+        for cy0, cy1 in y_ranges
+        for cx0, cx1 in x_ranges
+    )
+    return [c for c in children if c is not None]
 
 
 # ----------------------------------------------------------------------
@@ -524,8 +497,7 @@ def run_shard(
     consult it — per-batch faults recover inside the build, wholesale
     faults (device loss, OOM beyond recovery) escape to the caller.
     """
-    if minpts < 1:
-        raise ValueError("minpts must be >= 1")
+    check_minpts(minpts)
     if cluster_on not in ("host", "device"):
         raise ValueError(f"unknown cluster_on {cluster_on!r}")
     stats = ShardStats(
@@ -927,8 +899,13 @@ class ShardedResult:
     #: event-driven multi-device makespan (builds pinned to devices,
     #: merge increments overlapped, exchange prefix, finalize tail);
     #: every supervised attempt, failed ones included, occupies its
-    #: device for its full duration.  Zero tasks for an empty input.
+    #: device for its full duration.
     device_schedule: DeviceSchedule
+    # --- multi-device placement layer (DESIGN.md §13) ---
+    #: shard→device assignment (:func:`repro.core.placement.place_shards`)
+    placement: "DevicePlacement"
+    #: modeled collective halo exchange of that placement
+    exchange: "CollectiveExchange"
     #: wall seconds of the sequential host execution
     serial_s: float = 0.0
     #: merge phase wall seconds (incremental absorbs + finalize)
@@ -936,11 +913,6 @@ class ShardedResult:
     #: the recovery audit trail: one entry per supervised shard attempt
     #: (the single record of attempts, fallbacks and wasted work)
     events: list[ShardAttempt] = field(default_factory=list)
-    # --- multi-device placement layer (DESIGN.md §13) ---
-    #: shard→device assignment (:func:`repro.core.placement.place_shards`)
-    placement: Optional["DevicePlacement"] = None
-    #: modeled collective halo exchange of that placement
-    exchange: Optional["CollectiveExchange"] = None
     #: devices lost mid-run; their remaining shards were rescheduled
     #: onto the surviving devices
     lost_devices: list[int] = field(default_factory=list)
@@ -1034,31 +1006,8 @@ def cluster_sharded(
     ``device_schedule.makespan_s`` is the run's modeled ``makespan_s``.
     """
     cfg = config or ShardConfig()
-    check_eps(eps)
-    if minpts < 1:
-        raise ValueError("minpts must be >= 1")
-    pts_in = as_points(points)
-    if len(pts_in) == 0:
-        # an empty dataset clusters to zero shards, zero tasks — a
-        # well-formed (empty) result, not a planning error
-        plan = ShardPlan(
-            eps=float(eps),
-            config=cfg,
-            nx=0,
-            ny=0,
-            points=pts_in,
-            sort_order=np.empty(0, dtype=np.int64),
-            shards=(),
-        )
-        return ShardedResult(
-            labels=np.empty(0, dtype=np.int64),
-            eps=float(eps),
-            minpts=int(minpts),
-            plan=plan,
-            shard_stats=[],
-            device_schedule=schedule_devices([], [], n_devices=cfg.n_devices),
-        )
-    plan = plan_shards(pts_in, eps, config=cfg)
+    check_minpts(minpts)
+    plan = plan_shards(points, eps, config=cfg)
     base_spec = device_spec or DeviceSpec()
 
     # placement imports sharding, so it is imported at call time

@@ -39,7 +39,7 @@ from collections import deque
 import numpy as np
 
 from repro.core.neighbor_table import NeighborTable
-from repro.index.base import check_eps
+from repro.index.base import check_eps, check_minpts
 
 __all__ = [
     "NOISE",
@@ -62,8 +62,7 @@ def core_mask(table: NeighborTable, minpts: int) -> np.ndarray:
     Note the neighborhood includes the point itself (dist(p, p) = 0 ≤ ε),
     as in the original DBSCAN formulation.
     """
-    if minpts < 1:
-        raise ValueError("minpts must be >= 1")
+    check_minpts(minpts)
     return table.neighbor_counts() >= minpts
 
 
@@ -210,8 +209,7 @@ def dbscan_from_annotated_table(
         raise ValueError(
             f"table was built for eps={table.eps}; cannot query eps={eps}"
         )
-    if minpts < 1:
-        raise ValueError("minpts must be >= 1")
+    check_minpts(minpts)
     src, dst, pos = table.edges_with_positions()
     keep = table.distances[pos] <= eps
     src, dst = src[keep], dst[keep]

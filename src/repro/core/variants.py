@@ -13,6 +13,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.index.base import check_eps, check_minpts
+
 __all__ = ["Variant", "VariantSet"]
 
 
@@ -24,10 +26,8 @@ class Variant:
     minpts: int
 
     def __post_init__(self) -> None:
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.minpts < 1:
-            raise ValueError("minpts must be >= 1")
+        check_minpts(self.minpts)
+        check_eps(self.eps)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from typing import Union
 import numpy as np
 
 from repro.index.base import as_points
+from repro.index.grid import point_extent
 
 __all__ = ["load_points", "save_points", "normalize_extent", "bounding_box"]
 
@@ -34,9 +35,7 @@ def load_points(path: PathLike) -> np.ndarray:
         arr = np.loadtxt(p, delimiter="," if p.suffix == ".csv" else None, ndmin=2)
     else:
         raise ValueError(f"unsupported point file type: {p.suffix}")
-    if arr.ndim != 2 or arr.shape[1] < 2:
-        raise ValueError(f"expected at least 2 columns, got shape {arr.shape}")
-    return as_points(arr[:, :2])
+    return as_points(arr[:, :2] if arr.ndim == 2 else arr)
 
 
 def save_points(points: np.ndarray, path: PathLike) -> Path:
@@ -54,9 +53,7 @@ def save_points(points: np.ndarray, path: PathLike) -> Path:
 
 def bounding_box(points: np.ndarray) -> tuple[float, float, float, float]:
     """``(xmin, ymin, xmax, ymax)`` of a point set."""
-    pts = as_points(points)
-    (xmin, ymin), (xmax, ymax) = pts.min(axis=0), pts.max(axis=0)
-    return float(xmin), float(ymin), float(xmax), float(ymax)
+    return point_extent(as_points(points))
 
 
 def normalize_extent(points: np.ndarray, side: float = 1.0) -> np.ndarray:

@@ -1,21 +1,33 @@
-"""Index protocol and the brute-force reference index."""
+"""Index protocol, the brute-force reference index, and the input
+contract: the one place the rules for a valid ``(D, ε, minpts)`` live
+(DESIGN.md, "Input contract")."""
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-__all__ = ["SpatialIndex", "BruteForceIndex", "as_points", "check_eps"]
+__all__ = [
+    "SpatialIndex", "BruteForceIndex", "InvalidInputError",
+    "as_points", "check_eps", "check_minpts", "validate_inputs",
+]
+
+
+class InvalidInputError(ValueError):
+    """A clustering input violates the ``(D, ε, minpts)`` contract."""
 
 
 def as_points(points: np.ndarray) -> np.ndarray:
-    """Validate and normalize a 2-D point array to float64 ``(n, 2)``."""
+    """Validate and normalize a non-empty point array to float64 ``(n, 2)``."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"expected an (n, 2) point array, got shape {pts.shape}")
+        raise InvalidInputError(f"expected an (n, 2) point array, got shape {pts.shape}")
+    if len(pts) == 0:
+        raise InvalidInputError("cannot index an empty dataset")
     if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
+        raise InvalidInputError("points must be finite")
     return np.ascontiguousarray(pts)
 
 
@@ -23,7 +35,30 @@ def check_eps(eps: float) -> None:
     """Reject a non-finite or non-positive ``eps`` (NaN fails every
     ``eps <= 0`` guard, so finiteness is checked first)."""
     if not np.isfinite(eps) or eps <= 0:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+        raise InvalidInputError(f"eps must be positive and finite, got {eps}")
+
+
+def check_minpts(minpts: int) -> None:
+    """Reject a ``minpts`` that is not an integer ``>= 1`` (nor a bool)."""
+    if not isinstance(minpts, Integral) or isinstance(minpts, bool):
+        raise InvalidInputError(f"minpts must be an integer, got {minpts!r}")
+    if minpts < 1:
+        raise InvalidInputError("minpts must be >= 1")
+
+
+def validate_inputs(points: np.ndarray, eps: float, minpts: int) -> np.ndarray:
+    """Apply the whole contract and return the float64 ``(n, 2)`` points:
+    the three rules above, then the ε-grid extent bound (``grid.MAX_CELLS``).
+    Every entry point checks in this order, so an input that breaks several
+    rules gets the same message everywhere."""
+    # grid.py builds on this module, so its geometry is imported here
+    from repro.index.grid import GridGeometry, point_extent
+
+    check_minpts(minpts)
+    check_eps(eps)
+    pts = as_points(points)
+    GridGeometry.over(point_extent(pts), eps)
+    return pts
 
 
 @runtime_checkable

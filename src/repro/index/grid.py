@@ -18,22 +18,64 @@ in its own cell plus the 8 adjacent cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro._nputil import run_boundaries
-from repro.index.base import as_points, check_eps
+from repro.index.base import InvalidInputError, as_points, check_eps
 
-__all__ = ["GridIndex", "GridStats"]
+__all__ = ["MAX_CELLS", "point_extent", "GridGeometry", "GridIndex", "GridStats"]
 
-#: refuse to build grids with more cells than this (degenerate ε)
-DEFAULT_MAX_CELLS = 200_000_000
+#: refuse grids with more cells than this (degenerate ε for the extent)
+MAX_CELLS = 200_000_000
 
 _NEIGHBOR_OFFSETS = np.array(
     [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)], dtype=np.int64
 )
+
+
+def point_extent(points: np.ndarray) -> tuple[float, float, float, float]:
+    """``(xmin, ymin, xmax, ymax)``, by per-column reductions (faster than ``min(axis=0)``)."""
+    x, y = points[:, 0], points[:, 1]
+    return float(x.min()), float(y.min()), float(x.max()), float(y.max())
+
+
+@dataclass
+class GridGeometry:
+    """Origin and shape of the ε×ε cell grid over an extent: the one cell
+    arithmetic of the grid index, the shard planner and the extent bound."""
+
+    eps: float
+    xmin: float
+    ymin: float
+    nx: int
+    ny: int
+
+    @staticmethod
+    def over(extent: tuple[float, ...], eps: float) -> "GridGeometry":
+        """O(1) geometry over ``(xmin, ymin, xmax, ymax)``; raises
+        :class:`~repro.index.base.InvalidInputError` past :data:`MAX_CELLS`."""
+        xmin, ymin, xmax, ymax = extent
+        # float cell counts first: a far outlier can overflow int()
+        with np.errstate(over="ignore"):
+            fx = max(1.0, np.floor((xmax - xmin) / eps) + 1)
+            fy = max(1.0, np.floor((ymax - ymin) / eps) + 1)
+        if fx * fy > MAX_CELLS:
+            raise InvalidInputError(
+                f"grid would have {fx * fy:.0f} cells (> max_cells={MAX_CELLS}); "
+                "eps is degenerate for this extent"
+            )
+        return GridGeometry(float(eps), xmin, ymin, int(fx), int(fy))
+
+    def cells_of(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-point cell column and row (clipped into the grid)."""
+        cx = np.floor((points[:, 0] - self.xmin) / self.eps).astype(np.int64)
+        cy = np.floor((points[:, 1] - self.ymin) / self.eps).astype(np.int64)
+        np.clip(cx, 0, self.nx - 1, out=cx)
+        np.clip(cy, 0, self.ny - 1, out=cy)
+        return cx, cy
 
 
 @dataclass(frozen=True)
@@ -48,14 +90,10 @@ class GridStats:
 
 
 @dataclass
-class GridIndex:
-    """ε-cell grid over 2-D points (the paper's ``G`` and ``A``)."""
+class GridIndex(GridGeometry):
+    """ε-cell grid over 2-D points (the paper's ``G`` and ``A``): its
+    :class:`GridGeometry` plus the sorted points and the lookup arrays."""
 
-    eps: float
-    xmin: float
-    ymin: float
-    nx: int
-    ny: int
     #: points sorted into spatial (unit-bin) order — the device's ``D``
     points: np.ndarray
     #: permutation such that ``points == original_points[sort_order]``
@@ -74,24 +112,18 @@ class GridIndex:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def build(
-        cls,
-        points: np.ndarray,
-        eps: float,
-        *,
-        max_cells: int = DEFAULT_MAX_CELLS,
-        presorted: bool = False,
-    ) -> "GridIndex":
+    def build(cls, points: np.ndarray, eps: float, *, presorted: bool = False) -> "GridIndex":
         """Build the index for a fixed ``eps``.
 
         ``presorted=True`` skips the unit-bin sort (used when the caller
         already holds spatially sorted points, e.g. when re-indexing the
         same dataset for a new ε in scenario S2).
         """
-        pts = as_points(points)
         check_eps(eps)
-        if len(pts) == 0:
-            raise ValueError("cannot index an empty dataset")
+        pts = as_points(points)
+        # the contract's extent bound; the extent is order-independent
+        geom = GridGeometry.over(point_extent(pts), eps)
+        nx, ny = geom.nx, geom.ny
 
         if presorted:
             order = np.arange(len(pts), dtype=np.int64)
@@ -99,20 +131,7 @@ class GridIndex:
             order = cls.spatial_sort_order(pts)
             pts = np.ascontiguousarray(pts[order])
 
-        xmin, ymin = pts.min(axis=0)
-        xmax, ymax = pts.max(axis=0)
-        nx = max(1, int(np.floor((xmax - xmin) / eps)) + 1)
-        ny = max(1, int(np.floor((ymax - ymin) / eps)) + 1)
-        if nx * ny > max_cells:
-            raise ValueError(
-                f"grid would have {nx * ny} cells (> max_cells={max_cells}); "
-                "eps is degenerate for this extent"
-            )
-
-        cx = np.floor((pts[:, 0] - xmin) / eps).astype(np.int64)
-        cy = np.floor((pts[:, 1] - ymin) / eps).astype(np.int64)
-        np.clip(cx, 0, nx - 1, out=cx)
-        np.clip(cy, 0, ny - 1, out=cy)
+        cx, cy = geom.cells_of(pts)
         cell_ids = cy * nx + cx
 
         lookup = np.argsort(cell_ids, kind="stable").astype(np.int64)
@@ -125,11 +144,7 @@ class GridIndex:
         cell_max[uniq] = ends - 1  # inclusive, as in the paper's Figure 1
 
         return cls(
-            eps=float(eps),
-            xmin=float(xmin),
-            ymin=float(ymin),
-            nx=nx,
-            ny=ny,
+            **asdict(geom),
             points=pts,
             sort_order=order,
             cell_of_point=cell_ids,
@@ -156,10 +171,6 @@ class GridIndex:
     @property
     def n_cells(self) -> int:
         return self.nx * self.ny
-
-    def cell_coords(self, h: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
-        h = np.asarray(h, dtype=np.int64)
-        return h % self.nx, h // self.nx
 
     def neighbor_cells(self, h: int) -> np.ndarray:
         """Linear ids of the ≤9 cells that can contain ε-neighbors of
@@ -217,8 +228,8 @@ class GridIndex:
             n_points=len(self.points),
             n_cells=self.n_cells,
             n_nonempty_cells=len(self.nonempty_cells),
-            max_points_per_cell=int(counts.max()) if len(counts) else 0,
-            mean_points_per_nonempty_cell=float(counts.mean()) if len(counts) else 0.0,
+            max_points_per_cell=int(counts.max()),
+            mean_points_per_nonempty_cell=float(counts.mean()),
         )
 
     def device_arrays(self) -> dict[str, np.ndarray]:

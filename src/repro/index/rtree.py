@@ -112,8 +112,6 @@ class RTree:
     def _bulk_load(self, pts: np.ndarray) -> None:
         self.points = pts
         n = len(pts)
-        if n == 0:
-            return
         ids = np.arange(n, dtype=np.int64)
         leaves = self._str_pack_leaves(ids)
         level = 1

@@ -13,6 +13,7 @@ from repro.service.admission import (
     AdmissionStats,
     DeadlineExceeded,
     ExecutionFailed,
+    InvalidRequest,
     Overloaded,
     ServiceError,
     UnknownDataset,
@@ -39,6 +40,7 @@ __all__ = [
     "Overloaded",
     "DeadlineExceeded",
     "UnknownDataset",
+    "InvalidRequest",
     "ExecutionFailed",
     "AdmissionConfig",
     "Admission",

@@ -35,6 +35,7 @@ __all__ = [
     "Overloaded",
     "DeadlineExceeded",
     "UnknownDataset",
+    "InvalidRequest",
     "ExecutionFailed",
     "AdmissionConfig",
     "Admission",
@@ -71,6 +72,12 @@ class UnknownDataset(ServiceError):
     """The request names a dataset_id never registered with the service."""
 
     code = "unknown_dataset"
+
+
+class InvalidRequest(ServiceError):
+    """The request's ε is degenerate for its dataset's extent."""
+
+    code = "invalid_request"
 
 
 class ExecutionFailed(ServiceError):

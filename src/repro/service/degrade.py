@@ -131,8 +131,6 @@ class CostTracker:
             raise ValueError("alpha must be in (0, 1]")
 
     def observe(self, dataset_id: str, n_points: int, device_ms: float) -> None:
-        if n_points <= 0:
-            return
         per_point = device_ms / n_points
         prev = self._per_point_ms.get(dataset_id)
         self._per_point_ms[dataset_id] = (

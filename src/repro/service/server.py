@@ -41,11 +41,14 @@ from repro.core.table_dbscan import NOISE, dbscan_from_table
 from repro.gpusim.device import Device
 from repro.gpusim.faults import FaultInjector, classify_fault, derive_seed
 from repro.hostsim import WorkerPool
+from repro.index.base import InvalidInputError, as_points
+from repro.index.grid import GridGeometry, point_extent
 from repro.service.admission import (
     AdmissionConfig,
     AdmissionController,
     DeadlineExceeded,
     ExecutionFailed,
+    InvalidRequest,
     Overloaded,
     ServiceError,
     UnknownDataset,
@@ -201,6 +204,8 @@ class _Outcome:
 class _DatasetState:
     points: np.ndarray
     epoch: int
+    #: ``(xmin, ymin, xmax, ymax)``, to check a request's ε in O(1)
+    extent: tuple[float, float, float, float]
 
 
 @dataclass
@@ -288,12 +293,9 @@ class ClusteringService:
     def register_dataset(
         self, dataset_id: str, points: np.ndarray, *, epoch: int = 0
     ) -> None:
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] < 2 or len(pts) == 0:
-            raise ValueError("points must be a non-empty (n, >=2) array")
-        self._datasets[dataset_id] = _DatasetState(
-            points=pts[:, :2].copy(), epoch=int(epoch)
-        )
+        """Register ``points`` (validated here, once) as ``dataset_id``."""
+        pts = as_points(points).copy()  # the caller's array may change
+        self._datasets[dataset_id] = _DatasetState(pts, int(epoch), point_extent(pts))
 
     def bump_epoch(
         self, dataset_id: str, points: Optional[np.ndarray] = None
@@ -304,12 +306,10 @@ class ClusteringService:
         ds = self._datasets.get(dataset_id)
         if ds is None:
             raise ValueError(f"dataset {dataset_id!r} not registered")
-        ds.epoch += 1
         if points is not None:
-            pts = np.asarray(points, dtype=np.float64)
-            if pts.ndim != 2 or pts.shape[1] < 2 or len(pts) == 0:
-                raise ValueError("points must be a non-empty (n, >=2) array")
-            ds.points = pts[:, :2].copy()
+            self.register_dataset(dataset_id, points, epoch=ds.epoch)
+            ds = self._datasets[dataset_id]
+        ds.epoch += 1
         self.cache.evict_older(
             dataset_id, ds.epoch, keep_epochs=self.config.stale_keep_epochs
         )
@@ -334,6 +334,11 @@ class ClusteringService:
                 ),
                 now,
             )
+        try:  # O(1): the points were validated at registration
+            GridGeometry.over(ds.extent, request.eps)
+        except InvalidInputError as exc:
+            self.admission.record_rejection(InvalidRequest.code)
+            return self._finish_rejected(request, InvalidRequest(str(exc)), now)
         try:
             adm = self.admission.admit(request.tenant, len(ds.points), now)
         except Overloaded as exc:

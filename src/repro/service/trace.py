@@ -18,6 +18,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.index.base import check_eps, check_minpts
+
 __all__ = ["Request", "TraceEvent", "make_trace"]
 
 
@@ -37,10 +39,8 @@ class Request:
     seq: int = 0
 
     def __post_init__(self) -> None:
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.minpts < 1:
-            raise ValueError("minpts must be >= 1")
+        check_minpts(self.minpts)
+        check_eps(self.eps)
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ValueError("deadline_ms must be positive (or None)")
         if self.arrival_ms < 0:

@@ -297,18 +297,10 @@ class TestMultiDeviceExecutor:
         }
         assert child_devs == {parent_dev}
 
-    def test_empty_input_zero_task_schedule(self):
-        res = cluster_sharded(np.empty((0, 2)), 0.3, 4)
-        assert len(res.labels) == 0
-        assert res.n_clusters == 0
-        ds = res.device_schedule
-        assert ds is not None
-        assert ds.makespan_s == 0.0
-        assert ds.build_intervals == ()
-        assert ds.merge_intervals == ()
-        assert res.makespan_s == 0.0
-
     def test_empty_input_still_validates(self):
+        # an empty dataset is invalid input here as on every entry point
+        with pytest.raises(ValueError, match="empty dataset"):
+            cluster_sharded(np.empty((0, 2)), 0.3, 4)
         for eps in (-1.0, float("nan")):
             with pytest.raises(ValueError, match="eps"):
                 cluster_sharded(np.empty((0, 2)), eps, 4)

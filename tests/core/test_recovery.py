@@ -46,6 +46,35 @@ def _neighbors(table):
     return [sorted(table.neighbors(i).tolist()) for i in range(table.n_points)]
 
 
+DENSE_N = 200
+DENSE_BUFFER = 128
+
+
+def _dense_grid():
+    """DENSE_N copies of one point: each neighborhood (DENSE_N pairs)
+    exceeds a DENSE_BUFFER-pair buffer, so splitting bottoms out at a
+    single point and only a buffer regrow recovers it."""
+    return GridIndex.build(np.ones((DENSE_N, 2)), 0.5)
+
+
+def _dense_cfg():
+    return BatchConfig(
+        static_threshold=1,
+        static_buffer_size=DENSE_BUFFER,
+        min_buffer_size=DENSE_BUFFER,
+        alpha=0.0,
+        n_streams=1,
+    )
+
+
+def _dense_plan(cfg):
+    """Four batches of DENSE_N / 4 points."""
+    return BatchPlanner(cfg).plan_from_estimate(eb=1, ab=4 * DENSE_BUFFER)
+
+
+DENSE_REFERENCE = [list(range(DENSE_N))] * DENSE_N
+
+
 @pytest.fixture(scope="module")
 def reference():
     """Fault-free build of the shared scenario (and its plan shape)."""
@@ -76,18 +105,17 @@ class TestAcceptance:
         assert stats.recovery.wasted_kernel_s > 0
         assert _neighbors(table) == reference
 
-    def test_regrow_strategy_single_fault(self, reference):
-        cfg = _cfg(recovery="regrow")
-        plan = _plan(cfg)
+    def test_regrow_strategy_single_fault(self):
+        """A single point whose neighborhood overflows the buffer cannot
+        be split: its worker's buffer regrows once, and every later unit
+        fits the grown buffer (or splits into ones that do)."""
+        cfg = _dense_cfg()
         table, stats = build_neighbor_table(
-            _grid(), Device(), config=cfg, plan=plan,
-            faults=FaultInjector.overflow_at(3),
+            _dense_grid(), Device(), config=cfg, plan=_dense_plan(cfg)
         )
-        # a regrown batch re-runs whole: no extra unit appears
-        assert stats.n_batches_run == plan.n_batches
         assert stats.recovery.regrows == 1
-        assert stats.recovery.splits == 0
-        assert _neighbors(table) == reference
+        assert stats.recovery.splits >= 1
+        assert _neighbors(table) == DENSE_REFERENCE
 
     def test_injector_attached_to_device_is_used(self, reference):
         cfg = _cfg()
@@ -132,7 +160,7 @@ class TestRegrowBounds:
         grid = GridIndex.build(pts, 0.5)
         cfg = BatchConfig(
             static_threshold=1, static_buffer_size=400, min_buffer_size=400,
-            alpha=0.0, n_streams=1, recovery="regrow",
+            alpha=0.0, n_streams=1,
         )
         plan = BatchPlanner(cfg).plan_from_estimate(eb=1, ab=400)
         # 10 KB pool: the (400, 2) int64 buffer (6400 B) fits, the
@@ -144,16 +172,28 @@ class TestRegrowBounds:
         assert small.memory.used_bytes == used_before
 
     def test_regrow_depth_bounded(self):
-        """max_recovery_depth caps how often one unit may regrow."""
-        pts = np.ones((500, 2))
-        grid = GridIndex.build(pts, 0.5)
-        cfg = BatchConfig(
-            static_threshold=1, static_buffer_size=128, min_buffer_size=128,
-            alpha=0.0, n_streams=1, recovery="regrow", max_recovery_depth=1,
-        )
-        plan = BatchPlanner(cfg).plan_from_estimate(eb=1, ab=128)
-        with pytest.raises(ResultBufferOverflow):
-            build_neighbor_table(grid, Device(), config=cfg, plan=plan)
+        """max_recovery_depth caps how often one unit may regrow: batches
+        of one point whose 8 neighbors need two doublings of a 2-pair
+        buffer."""
+        grid = GridIndex.build(np.ones((8, 2)), 0.5)
+        for depth, regrows in ((1, 1), (2, 2)):
+            cfg = BatchConfig(
+                static_threshold=1, static_buffer_size=2, min_buffer_size=2,
+                alpha=0.0, n_streams=1, max_recovery_depth=depth,
+            )
+            plan = BatchPlanner(cfg).plan_from_estimate(eb=1, ab=16)
+            assert plan.n_batches == 8
+            if depth == 1:
+                with pytest.raises(ResultBufferOverflow) as ei:
+                    build_neighbor_table(grid, Device(), config=cfg, plan=plan)
+                stats = ei.value.build_stats
+            else:
+                table, stats = build_neighbor_table(
+                    grid, Device(), config=cfg, plan=plan
+                )
+                assert table.total_pairs == 64
+            assert stats.recovery.regrows == regrows
+            assert stats.recovery.splits == 0
 
 
 class TestPinnedAccounting:
@@ -163,15 +203,13 @@ class TestPinnedAccounting:
         pinned pool reported phantom residency forever after.  A forced
         regrow must leave zero live pinned buffers and a leak-free
         sanitized close."""
-        cfg = _cfg(recovery="regrow")
-        plan = _plan(cfg)
+        cfg = _dense_cfg()
         device = Device(sanitize=True)
         table, stats = build_neighbor_table(
-            _grid(), device, config=cfg, plan=plan,
-            faults=FaultInjector.overflow_at(3),
+            _dense_grid(), device, config=cfg, plan=_dense_plan(cfg)
         )
         assert stats.recovery.regrows == 1
-        assert _neighbors(table) == reference
+        assert _neighbors(table) == DENSE_REFERENCE
         assert device.pinned.live_count == 0
         assert device.pinned.used_bytes == 0
         assert device.pinned.peak_bytes > 0
@@ -244,7 +282,6 @@ class TestStatsReset:
 
 
 FAULT_KINDS = st.sampled_from(["overflow", "transfer"])
-STRATEGIES = st.sampled_from(["auto", "split", "regrow"])
 
 
 class TestRecoveryProperties:
@@ -252,15 +289,14 @@ class TestRecoveryProperties:
     @given(
         batch=st.integers(min_value=0, max_value=N_BATCHES - 1),
         kind=FAULT_KINDS,
-        strategy=STRATEGIES,
         times=st.integers(min_value=1, max_value=2),
     )
     def test_recovered_table_equals_fault_free(
-        self, reference, batch, kind, strategy, times
+        self, reference, batch, kind, times
     ):
-        """Whatever single fault is injected and whichever strategy
-        recovers it, the final table is the fault-free table."""
-        cfg = _cfg(recovery=strategy)
+        """Whatever single fault is injected, the recovered table is the
+        fault-free table."""
+        cfg = _cfg()
         plan = _plan(cfg)
         if kind == "transfer" and times > cfg.max_transfer_retries:
             times = cfg.max_transfer_retries

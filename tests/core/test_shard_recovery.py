@@ -19,8 +19,9 @@ from repro.core import (
     quad_split_shard,
 )
 from repro.core import sharding as sharding_mod
-from repro.core.sharding import _global_cell_coords, exchange_halos
+from repro.core.sharding import exchange_halos
 from repro.gpusim import DeviceMemoryError, FaultSpec
+from repro.index.grid import GridGeometry, point_extent
 
 
 def _pts(seed, n=220, spread=1.0):
@@ -78,7 +79,8 @@ class TestQuadSplit:
         """A child's halo is exactly the one-cell ring the planner would
         compute for that tile — the §8 invariants hold verbatim."""
         plan = self._plan(seed=1, grid=(2, 3))
-        cx, cy, _, _ = _global_cell_coords(plan.points, plan.eps)
+        geom = GridGeometry.over(point_extent(plan.points), plan.eps)
+        cx, cy = geom.cells_of(plan.points)
         for shard in plan.shards:
             for c in quad_split_shard(plan, shard):
                 ring = exchange_halos(cx, cy, (c.cx0, c.cx1, c.cy0, c.cy1))

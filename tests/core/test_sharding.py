@@ -14,8 +14,9 @@ from repro.core import (
     cluster_sharded,
     plan_shards,
 )
-from repro.core.sharding import _global_cell_coords, exchange_halos
+from repro.core.sharding import exchange_halos
 from repro.core.table_dbscan import NOISE
+from repro.index import GridIndex
 
 
 def _pts(seed, n=220, spread=1.0):
@@ -38,7 +39,9 @@ class TestPlanner:
         one-cell ring around the tile (brute force cross-check)."""
         eps = 0.09
         plan = plan_shards(_pts(1), eps, ShardConfig(shards_x=2, shards_y=3))
-        cx, cy, _, _ = _global_cell_coords(plan.points, eps)
+        # the single-device grid's cells over the same sorted points
+        grid = GridIndex.build(plan.points, eps, presorted=True)
+        cx, cy = grid.cell_of_point % grid.nx, grid.cell_of_point // grid.nx
         for s in plan.shards:
             in_ring = (
                 (cx >= s.cx0 - 1) & (cx < s.cx1 + 1)

@@ -5,17 +5,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import NOISE, ShardConfig, cluster_sharded
+from repro.baseline import sequential_dbscan
+from repro.core import (
+    NOISE,
+    HybridDBSCAN,
+    MultiClusterPipeline,
+    ShardConfig,
+    Variant,
+    VariantSet,
+    cluster_eps_sweep,
+    cluster_sharded,
+    cluster_with_reuse,
+    extract_dbscan,
+    optics,
+    plan_shards,
+)
 from repro.core.batching import build_neighbor_table
 from repro.core.device_cluster import dbscan_from_table_device
+from repro.core.optics import core_distances
+from repro.core.sharding import make_shard_fault_factory
 from repro.core.table_dbscan import (
     canonicalize_labels,
     core_mask,
     dbscan_from_table,
     dbscan_from_table_expand,
 )
-from repro.gpusim import Device
+from repro.gpusim import Device, FaultSpec
 from repro.index import GridIndex
+from repro.index.base import InvalidInputError, validate_inputs
+from repro.service import ClusteringService, Request
 
 
 def build_table(points, eps):
@@ -61,6 +79,138 @@ ADVERSARIAL = {
     "minpts_one": _minpts_one,
     "all_noise": _all_noise,
 }
+
+
+def _valid_points():
+    return np.random.default_rng(11).random((40, 2)) * 2
+
+
+#: one invalid input per row: ``(points, eps, minpts, broken argument)``
+INVALID = {
+    "eps_nan": (_valid_points, float("nan"), 4, "eps"),
+    "eps_inf": (_valid_points, float("inf"), 4, "eps"),
+    "eps_zero": (_valid_points, 0.0, 4, "eps"),
+    "eps_negative": (_valid_points, -1.0, 4, "eps"),
+    "minpts_zero": (_valid_points, 0.3, 0, "minpts"),
+    "minpts_fraction": (_valid_points, 0.3, 2.5, "minpts"),
+    "minpts_bool": (_valid_points, 0.3, True, "minpts"),
+    "three_columns": (
+        lambda: np.random.default_rng(3).random((40, 3)), 0.3, 4, "points",
+    ),
+    "nan_point": (lambda: np.array([[0.0, 0.0], [np.nan, 1.0]]), 0.3, 4, "points"),
+    "empty": (lambda: np.empty((0, 2)), 0.3, 4, "points"),
+    "far_outlier": (
+        lambda: np.vstack([_valid_points(), [[1e9, 1e9]]]), 0.3, 4, "extent",
+    ),
+}
+
+
+def _service_with(pts):
+    svc = ClusteringService()
+    svc.register_dataset("ds", pts)
+    return svc
+
+
+_ALL = {"eps", "minpts", "points", "extent"}
+_GRID = {"eps", "points", "extent"}
+_SCALARS = {"eps", "minpts"}
+
+#: every public entry point: (call on points, ε, minpts and a valid
+#: annotated table, the arguments it takes)
+ENTRY_POINTS = {
+    "fit": (lambda p, e, m, t: HybridDBSCAN().fit(p, e, m), _ALL),
+    "build_table": (lambda p, e, m, t: HybridDBSCAN().build_table(p, e), _GRID),
+    "fit_sharded": (lambda p, e, m, t: HybridDBSCAN().fit_sharded(p, e, m), _ALL),
+    "cluster_sharded": (
+        lambda p, e, m, t: cluster_sharded(
+            p, e, m, config=ShardConfig(shards_x=2, shards_y=2, n_devices=2)
+        ),
+        _ALL,
+    ),
+    "plan_shards": (lambda p, e, m, t: plan_shards(p, e), _GRID),
+    "cluster_with_reuse": (lambda p, e, m, t: cluster_with_reuse(p, e, [m]), _ALL),
+    "cluster_eps_sweep": (lambda p, e, m, t: cluster_eps_sweep(p, [e], m), _ALL),
+    "Variant": (lambda p, e, m, t: Variant(e, m), _SCALARS),
+    "MultiClusterPipeline": (
+        lambda p, e, m, t: MultiClusterPipeline().run(
+            p, VariantSet((Variant(e, 4),))
+        ),
+        {"points", "extent"},
+    ),
+    "optics": (lambda p, e, m, t: optics(t, m), {"minpts"}),
+    "core_distances": (lambda p, e, m, t: core_distances(t, m), {"minpts"}),
+    "extract_dbscan": (lambda p, e, m, t: extract_dbscan(optics(t, 4), e), {"eps"}),
+    "sequential_dbscan": (lambda p, e, m, t: sequential_dbscan(p, e, m), _ALL),
+    "register_dataset": (
+        lambda p, e, m, t: ClusteringService().register_dataset("ds", p),
+        {"points"},
+    ),
+    "bump_epoch": (
+        lambda p, e, m, t: _service_with(_valid_points()).bump_epoch("ds", p),
+        {"points"},
+    ),
+    "Request": (lambda p, e, m, t: Request("ds", e, m), _SCALARS),
+}
+
+
+@pytest.fixture(scope="module")
+def annotated_table():
+    return HybridDBSCAN().build_table(_valid_points(), 0.3, with_distances=True)[1]
+
+
+@pytest.fixture
+def devices(monkeypatch):
+    """Every simulated device created while the test body runs."""
+    created = []
+    init = Device.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        created.append(self)
+
+    monkeypatch.setattr(Device, "__init__", recording_init)
+    return created
+
+
+class TestInvalidInputs:
+    """One rule set, one typed error, one message — on every entry point,
+    before any device allocation or modeled device time."""
+
+    @pytest.mark.parametrize("case", list(INVALID), ids=list(INVALID))
+    def test_every_entry_point_rejects_identically(
+        self, annotated_table, devices, case
+    ):
+        make_points, eps, minpts, broken = INVALID[case]
+        pts = make_points()
+        with pytest.raises(InvalidInputError) as contract:
+            validate_inputs(pts, eps, minpts)
+        ran = []
+        for name, (call, takes) in ENTRY_POINTS.items():
+            if broken not in takes:
+                continue
+            ran.append(name)
+            with pytest.raises(InvalidInputError) as err:
+                call(pts, eps, minpts, annotated_table)
+            assert str(err.value) == str(contract.value), name
+            for dev in devices:
+                assert dev.memory.peak_bytes == 0, name
+                assert dev.profiler.total_device_ms() == 0, name
+        assert len(ran) >= 3
+
+    def test_service_answers_invalid_request(self, devices):
+        make_points, eps, minpts, _ = INVALID["far_outlier"]
+        pts = make_points()
+        with pytest.raises(InvalidInputError) as contract:
+            validate_inputs(pts, eps, minpts)
+        svc = _service_with(pts)
+        resp = svc.submit(Request("ds", eps, minpts))
+        assert resp.status == "rejected"
+        assert resp.error == "invalid_request"
+        assert resp.error_detail == str(contract.value)
+        assert resp.attempts == 0
+        assert resp.exec_ms == 0 and resp.worker is None
+        assert svc.pool.busy_ms == 0
+        assert devices == []
 
 
 class TestCoreMask:
@@ -163,7 +313,8 @@ class TestImplementationEquivalence:
     )
     def test_adversarial_inputs_agree(self, case):
         """Degenerate inputs: the primitive, the expand oracle, the
-        device path and the sharded executor at 1, 2 and 4 devices all
+        device path, the sharded executor at 1, 2 and 4 devices (also
+        with an injected shard OOM) and an exact service answer all
         produce the same labels."""
         pts, eps, minpts = ADVERSARIAL[case]()
         grid, table = build_table(pts, eps)
@@ -180,6 +331,18 @@ class TestImplementationEquivalence:
                 config=ShardConfig(shards_x=2, shards_y=2, n_devices=n_devices),
             )
             assert np.array_equal(res.labels, want), n_devices
+        oom = make_shard_fault_factory([FaultSpec("device_oom")])
+        faulted = cluster_sharded(
+            pts, eps, minpts,
+            config=ShardConfig(shards_x=2, shards_y=2, fault_factory=oom),
+        )
+        assert any(e.outcome != "ok" for e in faulted.events)
+        assert np.array_equal(faulted.labels, want)
+        svc = ClusteringService()
+        svc.register_dataset("ds", pts)
+        resp = svc.submit(Request("ds", eps, minpts))
+        assert resp.status == "exact"
+        assert np.array_equal(resp.labels, want)
 
     def test_cluster_counts_always_agree(self, blobs_points):
         _, table = build_table(blobs_points, 0.4)

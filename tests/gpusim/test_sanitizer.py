@@ -310,9 +310,7 @@ class TestNoFalsePositives:
         device = Device(sanitize=True, faults=faults)
         h = HybridDBSCAN(
             device,
-            batch_config=BatchConfig(
-                n_streams=2, min_buffer_size=256, recovery="auto"
-            ),
+            batch_config=BatchConfig(n_streams=2, min_buffer_size=256),
         )
         res = h.fit(_blobs(400), eps=0.5, minpts=4)
         assert res.recovery.retries >= 1

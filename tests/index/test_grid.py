@@ -74,7 +74,7 @@ class TestConstruction:
     def test_degenerate_eps_guard(self):
         pts = np.array([[0.0, 0.0], [1000.0, 1000.0]])
         with pytest.raises(ValueError, match="max_cells"):
-            GridIndex.build(pts, 1e-4, max_cells=10_000)
+            GridIndex.build(pts, 1e-4)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

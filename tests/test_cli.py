@@ -336,3 +336,38 @@ class TestServe:
         )
         assert code == 0
         assert data["degraded"] == 0
+
+
+INVALID_ARGV = {
+    "cluster": ["cluster", "{pts}", "--eps", "nan"],
+    "cluster_sharded": [
+        "cluster", "{pts}", "--eps", "0.5", "--minpts", "0",
+        "--shards", "2", "2",
+    ],
+    "cluster_nan_point": ["cluster", "{nan_pts}", "--eps", "0.5"],
+    "sweep": ["sweep", "{pts}", "--eps", "0.5", "nan"],
+    "reuse": ["reuse", "{pts}", "--eps", "0.5", "--minpts", "4", "0"],
+    "optics": ["optics", "{pts}", "--eps", "0.5", "--minpts", "0"],
+    "info": ["info", "{pts}", "--eps", "inf"],
+    "serve": ["serve", "{pts}", "--eps", "nan", "--requests", "3"],
+    "tune": ["tune", "{pts}", "--eps", "0", "--prune-only"],
+}
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("case", list(INVALID_ARGV), ids=list(INVALID_ARGV))
+    def test_exit_code_2_with_one_line_error(
+        self, capsys, points_file, tmp_path, case
+    ):
+        nan_pts = tmp_path / "nan.npy"
+        np.save(nan_pts, np.array([[0.0, 0.0], [np.nan, 1.0]]))
+        argv = [
+            a.format(pts=points_file, nan_pts=nan_pts)
+            for a in INVALID_ARGV[case]
+        ]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1

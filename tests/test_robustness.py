@@ -93,7 +93,7 @@ class TestResourceExhaustion:
         pts = np.ones((500, 2))
         grid = GridIndex.build(pts, 0.5)
         cfg = BatchConfig(static_threshold=1, static_buffer_size=600,
-                          min_buffer_size=600, alpha=0.0, recovery="split")
+                          min_buffer_size=600, alpha=0.0)
         from repro.core.batching import BatchPlanner
         plan = BatchPlanner(cfg).plan_from_estimate(eb=1, ab=600)
         table, stats = build_neighbor_table(grid, Device(), config=cfg, plan=plan)
@@ -103,17 +103,21 @@ class TestResourceExhaustion:
 
     def test_split_recovery_exhaustion(self, rng):
         """A single point whose neighborhood exceeds the buffer cannot be
-        split further; with regrow disabled the overflow surfaces."""
+        split further; in a pool too small to regrow the buffer the
+        overflow surfaces."""
         from repro.gpusim.memory import ResultBufferOverflow
         from repro.core.batching import BatchPlanner
 
         pts = np.ones((500, 2))  # any one point has 500 neighbors > 400
         grid = GridIndex.build(pts, 0.5)
         cfg = BatchConfig(static_threshold=1, static_buffer_size=400,
-                          min_buffer_size=400, alpha=0.0, recovery="split")
+                          min_buffer_size=400, alpha=0.0, n_streams=1)
         plan = BatchPlanner(cfg).plan_from_estimate(eb=1, ab=400)
-        with pytest.raises(ResultBufferOverflow):
-            build_neighbor_table(grid, Device(), config=cfg, plan=plan)
+        # the (400, 2) int64 buffer fits 10 KB, its doubling does not
+        small = Device(DeviceSpec(global_mem_bytes=10 * 1024))
+        with pytest.raises(ResultBufferOverflow) as ei:
+            build_neighbor_table(grid, small, config=cfg, plan=plan)
+        assert ei.value.build_stats.recovery.regrows == 0
 
     def test_tiny_buffer_still_correct_with_retries(self, rng):
         pts = np.vstack([rng.normal(0, 0.05, (150, 2)), rng.random((150, 2)) * 4])
