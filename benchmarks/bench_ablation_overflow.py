@@ -53,7 +53,7 @@ def _run(grid, buf: int, inject: bool):
     faults = FaultInjector.overflow_at(FAULT_BATCH) if inject else None
     t0 = time.perf_counter()
     table, stats = build_neighbor_table(
-        grid, Device(), config=cfg, plan=plan, faults=faults
+        grid, Device(faults=faults), config=cfg, plan=plan
     )
     return time.perf_counter() - t0, table, stats
 

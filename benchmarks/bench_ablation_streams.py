@@ -32,7 +32,7 @@ def _modeled_makespan(n_streams: int) -> tuple[float, float]:
     )
     table, _ = build_neighbor_table(grid, device, config=cfg)
     table.validate()
-    return device.timeline.makespan_ms, device.timeline.overlap_ms()
+    return device.profiler.makespan_ms(), device.profiler.overlap_ms()
 
 
 def test_ablation_streams(benchmark):

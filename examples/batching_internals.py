@@ -56,13 +56,13 @@ def main() -> None:
     # 3. what the 3 streams hid: modeled device timeline
     from repro.gpusim.timeline_view import render_timeline
 
-    tl = device.timeline
+    prof = device.profiler
     print("\nsimulated device timeline (3 streams):")
-    print(f"  serialized work  {tl.serialized_ms():8.3f} ms")
-    print(f"  makespan         {tl.makespan_ms:8.3f} ms")
-    print(f"  hidden by overlap{tl.overlap_ms():8.3f} ms")
+    print(f"  serialized work  {prof.serialized_ms():8.3f} ms")
+    print(f"  makespan         {prof.makespan_ms():8.3f} ms")
+    print(f"  hidden by overlap{prof.overlap_ms():8.3f} ms")
     print()
-    print(render_timeline(tl))
+    print(render_timeline(prof))
 
     # 4. the product: T maps every point to its eps-neighborhood
     counts = table.neighbor_counts()

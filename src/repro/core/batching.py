@@ -47,7 +47,7 @@ from typing import Literal, Optional
 import numpy as np
 
 from repro.gpusim.device import Device
-from repro.gpusim.faults import FaultInjector, TransferError
+from repro.gpusim.faults import TransferError
 from repro.gpusim.launch import launch
 from repro.gpusim.memory import DeviceMemoryError, ResultBufferOverflow
 from repro.gpusim.thrust import sort_pairs
@@ -256,7 +256,6 @@ def build_neighbor_table(
     block_dim: int = 256,
     plan: Optional[BatchPlan] = None,
     with_distances: bool = False,
-    faults: Optional[FaultInjector] = None,
 ) -> tuple[NeighborTable, TableBuildStats]:
     """Construct the neighbor table ``T`` with the batching scheme.
 
@@ -286,25 +285,21 @@ def build_neighbor_table(
     ``recovery.wasted_kernel_s``, so an outer supervisor (shard-level
     recovery) can account for the thrown-away work.
 
-    ``faults`` (or an injector attached to the device) exercises these
-    paths deterministically — see :mod:`repro.gpusim.faults`.
+    A fault injector attached to the device (``Device(faults=...)``)
+    exercises these paths deterministically — see
+    :mod:`repro.gpusim.faults`.
     """
     if with_distances and kernel != "global":
         raise ValueError("annotated tables require the global kernel")
     cfg = config or BatchConfig()
     planner = BatchPlanner(cfg)
     the_plan = plan or planner.plan(grid, device, backend=backend)
-    injector = faults if faults is not None else device.faults
-    # the transfer/allocation hooks live on the device, so an injector
-    # passed here must be visible there too for the build's duration
-    prev_faults = device.faults
-    device.faults = injector
     stats = TableBuildStats(plan=the_plan)
     t_start = time.perf_counter()
     try:
         table = _run_batches(
             grid, device, the_plan, cfg, kernel, backend, block_dim,
-            stats, with_distances, faults=injector,
+            stats, with_distances,
         )
     except Exception as exc:
         # the failed build is thrown away: its completed units' phase
@@ -314,8 +309,6 @@ def build_neighbor_table(
         )
         exc.build_stats = stats  # type: ignore[attr-defined]
         raise
-    finally:
-        device.faults = prev_faults
     stats.total_s = time.perf_counter() - t_start
     return table.finalize(), stats
 
@@ -330,8 +323,8 @@ def _run_batches(
     block_dim: int,
     stats: TableBuildStats,
     with_distances: bool = False,
-    faults: Optional[FaultInjector] = None,
 ) -> NeighborTable:
+    faults = device.faults
     kernel = GPUCalcGlobal() if kernel_name == "global" else GPUCalcShared()
     table = NeighborTable(len(grid), grid.eps, with_distances=with_distances)
     n_batches = plan.n_batches

@@ -471,7 +471,6 @@ def run_shard(
     batch_config: Optional[BatchConfig] = None,
     backend: str = "vector",
     block_dim: int = 256,
-    faults: Optional[FaultInjector] = None,
     cluster_on: Literal["host", "device"] = "host",
 ) -> ShardLocalResult:
     """Build one shard's table, cluster its interior, reduce, drop.
@@ -492,10 +491,10 @@ def run_shard(
     host-computed either way (they are merge bookkeeping, not
     clustering).
 
-    ``faults`` is this shard's fault injector (if any): it is threaded
-    into the table build, where the batching layer and the device hooks
-    consult it — per-batch faults recover inside the build, wholesale
-    faults (device loss, OOM beyond recovery) escape to the caller.
+    A fault injector attached to ``device`` is consulted by the table
+    build and the device hooks — per-batch faults recover inside the
+    build, wholesale faults (device loss, OOM beyond recovery) escape to
+    the caller.
     """
     check_minpts(minpts)
     if cluster_on not in ("host", "device"):
@@ -520,7 +519,6 @@ def run_shard(
         config=batch_config,
         backend=backend,
         block_dim=block_dim,
-        faults=faults,
     )
     stats.build_s = time.perf_counter() - t0
     stats.n_pairs = table.total_pairs
@@ -794,7 +792,7 @@ def run_shard_supervised(
     escalations = 0
     while True:
         spec, grant = _grant_spec(base_spec, cfg, escalations)
-        device = Device(spec, sanitize=sanitize)
+        device = Device(spec, faults=injector, sanitize=sanitize)
         t0 = time.perf_counter()
         try:
             local = run_shard(
@@ -806,7 +804,6 @@ def run_shard_supervised(
                 batch_config=batch_config,
                 backend=backend,
                 block_dim=block_dim,
-                faults=injector,
                 cluster_on=cluster_on,
             )
         except Exception as exc:

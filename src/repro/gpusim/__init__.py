@@ -3,10 +3,14 @@
 The paper's experiments ran on an NVIDIA Tesla K20c.  This package provides
 a functional stand-in: a device with bounded global memory, a SIMT
 interpreter that executes kernels per thread (with shared memory, block
-barriers and atomics), a vectorized fast path for scale, streams with an
-overlap-aware timeline, a Thrust-style ``sort_by_key``, and a profiler that
-plays the role of the NVIDIA Visual Profiler (kernel times, thread counts,
-bytes moved).
+barriers and atomics), a vectorized fast path for scale, streams on an
+overlap-aware engine scheduler, a Thrust-style ``sort_by_key``
+(:func:`~repro.gpusim.thrust.sort_pairs`), and a profiler that plays the
+role of the NVIDIA Visual Profiler.  Every kernel launch, sort and
+transfer goes through :meth:`~repro.gpusim.device.Device.enqueue`, which
+appends one record per op to the profiler's log; kernel times, thread
+counts, bytes moved and the stream timeline's makespan and overlap are
+all read from that one list.
 
 Public entry points
 -------------------
@@ -14,8 +18,8 @@ Public entry points
     Construct a simulated device.
 :func:`~repro.gpusim.launch.launch`
     Launch a :class:`~repro.gpusim.launch.Kernel` on a device.
-:func:`~repro.gpusim.thrust.sort_by_key`
-    Device-side stable key sort.
+:func:`~repro.gpusim.thrust.sort_pairs`
+    Device-side stable key sort of a pair buffer.
 :class:`~repro.gpusim.faults.FaultInjector`
     Deterministic injection of overflow / OOM / transfer faults.
 """
@@ -51,9 +55,9 @@ from repro.gpusim.sanitizer import (
     UseAfterFreeError,
 )
 from repro.gpusim.streams import Event, StaleStreamError, Stream, Timeline
-from repro.gpusim.thrust import sort_by_key, sort_pairs
+from repro.gpusim.thrust import sort_pairs
 from repro.gpusim.timeline_view import render_timeline
-from repro.gpusim.profiler import Profiler
+from repro.gpusim.profiler import DeviceOp, Profiler
 
 __all__ = [
     "Device",
@@ -90,7 +94,7 @@ __all__ = [
     "Event",
     "Timeline",
     "render_timeline",
-    "sort_by_key",
     "sort_pairs",
     "Profiler",
+    "DeviceOp",
 ]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.gpusim import constants as K
 
-__all__ = ["KernelCounters", "CostModel", "TransferCost"]
+__all__ = ["KernelCounters", "CostModel"]
 
 
 @dataclass
@@ -57,15 +57,6 @@ class KernelCounters:
         """Accumulate ``other`` into ``self`` (used across batches)."""
         for name in self.__dataclass_fields__:
             setattr(self, name, getattr(self, name) + getattr(other, name))
-
-
-@dataclass(frozen=True)
-class TransferCost:
-    """Modelled cost of one host<->device copy."""
-
-    bytes: int
-    milliseconds: float
-    pinned: bool
 
 
 @dataclass
@@ -128,18 +119,17 @@ class CostModel:
         )
         return max(compute, memory) + atomics + overhead
 
-    def transfer_time_ms(self, nbytes: int, *, pinned: bool) -> TransferCost:
+    def transfer_time_ms(self, nbytes: int, *, pinned: bool) -> float:
         """Simulated host<->device copy time for ``nbytes``."""
         gbs = self.pinned_bandwidth_gbs if pinned else self.pageable_bandwidth_gbs
-        ms = self.transfer_latency_ms + nbytes / (gbs * 1e6)
-        return TransferCost(bytes=nbytes, milliseconds=ms, pinned=pinned)
+        return self.transfer_latency_ms + nbytes / (gbs * 1e6)
 
     def pinned_alloc_time_ms(self, nbytes: int) -> float:
         """Simulated cost of allocating ``nbytes`` of pinned host memory."""
         return self.pinned_alloc_ms_per_mib * nbytes / (1024 * 1024)
 
     def sort_time_ms(self, n: int) -> float:
-        """Simulated device-side ``sort_by_key`` time for ``n`` pairs."""
+        """Simulated device-side key sort time for ``n`` pairs."""
         if n <= 1:
             return self.launch_overhead_ms
         passes = max(1.0, math.log2(n) / 8.0)  # radix passes over 8-bit digits

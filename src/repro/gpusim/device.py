@@ -6,6 +6,11 @@ the NVIDIA Tesla K20c used in the paper (13 SMs, 5 GB global memory, PCIe
 model, the profiler, and the stream timeline, and provides the host-side
 API (`to_device`, `from_device`, `alloc_pinned`).
 
+Every device op — kernel launch, device sort, transfer — goes through
+:meth:`Device.enqueue`, which schedules it on its stream, appends its one
+record to the profiler's log and reports its buffer accesses to the
+sanitizer.
+
 ``Device(sanitize=True)`` (or the ``GPUSAN=1`` environment variable, or
 the CLI's ``--sanitize``) attaches a
 :class:`~repro.gpusim.sanitizer.Sanitizer` that records every buffer
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -31,11 +36,13 @@ from repro.gpusim.memory import (
     PinnedMemoryPool,
     ResultBuffer,
 )
-from repro.gpusim.profiler import Profiler, TransferRecord
+from repro.gpusim.profiler import DeviceOp, Profiler, TransferRecord
 from repro.gpusim.sanitizer import Sanitizer, SanitizerReport
 from repro.gpusim.streams import Stream, Timeline
 
 __all__ = ["DeviceSpec", "Device", "sanitize_default"]
+
+OpT = TypeVar("OpT", bound=DeviceOp)
 
 
 def sanitize_default() -> bool:
@@ -73,20 +80,17 @@ class Device:
         self,
         spec: Optional[DeviceSpec] = None,
         *,
-        cost_model: Optional[CostModel] = None,
-        seed: int = 0,
         faults: Optional[FaultInjector] = None,
         sanitize: Optional[bool] = None,
         sanitize_mode: str = "raise",
     ):
         self.spec = spec or DeviceSpec()
-        self.cost = cost_model or self.spec.cost_model()
+        self.cost = self.spec.cost_model()
         self.memory = GlobalMemoryPool(self.spec.global_mem_bytes)
         self.pinned = PinnedMemoryPool()
         self.profiler = Profiler()
         self.timeline = Timeline()
         self.default_stream = Stream(self.timeline, name="default")
-        self.rng = np.random.default_rng(seed)
         #: optional fault-injection engine (see :mod:`repro.gpusim.faults`)
         self.faults = faults
         #: optional compute-sanitizer analogue; ``sanitize=None`` defers
@@ -169,6 +173,46 @@ class Device:
         return buf
 
     # ------------------------------------------------------------------
+    # the op path
+    # ------------------------------------------------------------------
+    def enqueue(
+        self,
+        op: OpT,
+        stream: Optional[Stream] = None,
+        *,
+        reads: Sequence[Union[DeviceBuffer, PinnedHostBuffer]] = (),
+        writes: Sequence[Union[DeviceBuffer, PinnedHostBuffer]] = (),
+        nbytes: Optional[int] = None,
+    ) -> OpT:
+        """Run one device op through the runtime; returns ``op``.
+
+        The one path of every kernel launch, device sort and transfer:
+        checks that no buffer it touches was freed, schedules it on
+        ``stream`` (the default stream if ``None``) for ``op.modeled_ms``
+        on ``op.engine``, stamps its stream and interval, appends it to
+        :attr:`profiler` ``.ops`` under the lock that scheduled it (so
+        the log is in schedule order), and reports its ``reads`` and
+        ``writes`` — bytes ``[0, nbytes)`` of each buffer, the whole
+        buffer if ``None`` — to the sanitizer's racecheck.
+        """
+        s = stream or self.default_stream
+        san = self.sanitizer
+        if san is not None:
+            for buf in (*reads, *writes):
+                san.check_use(buf, op.name)
+        with self.timeline.lock:
+            op.start_ms, op.end_ms = self.timeline.schedule(
+                s, op.engine, op.modeled_ms
+            )
+            op.stream, op.stream_id = s.name, s.stream_id
+            self.profiler.ops.append(op)
+            if san is not None:
+                for kind, bufs in (("read", reads), ("write", writes)):
+                    for buf in bufs:
+                        san.record_access(buf, kind, s, op, byte_end=nbytes)
+        return op
+
+    # ------------------------------------------------------------------
     # transfers
     # ------------------------------------------------------------------
     def to_device(
@@ -184,9 +228,19 @@ class Device:
         host_array = np.ascontiguousarray(host_array)
         buf = self.allocate(host_array.shape, host_array.dtype, name=name)
         buf.data[...] = host_array
-        op, s = self._record_transfer("h2d", host_array.nbytes, pinned, stream, name)
-        if self.sanitizer is not None:
-            self.sanitizer.record_access(buf, "write", s, op)
+        self.enqueue(
+            TransferRecord(
+                name=f"h2d:{name}",
+                engine="h2d",
+                modeled_ms=self.cost.transfer_time_ms(
+                    host_array.nbytes, pinned=pinned
+                ),
+                nbytes=host_array.nbytes,
+                pinned=pinned,
+            ),
+            stream,
+            writes=(buf,),
+        )
         return buf
 
     def from_device(
@@ -211,10 +265,12 @@ class Device:
             pinned_out = out
             out = out.data
             pinned = True
-        if self.sanitizer is not None and isinstance(buf, DeviceBuffer):
-            self.sanitizer.check_use(buf, "from_device")
-            if count is not None:
-                self.sanitizer.check_bounds(buf, count, "from_device")
+        if (
+            self.sanitizer is not None
+            and isinstance(buf, DeviceBuffer)
+            and count is not None
+        ):
+            self.sanitizer.check_bounds(buf, count, "from_device")
         src = buf.view() if isinstance(buf, ResultBuffer) else (
             buf.data if isinstance(buf, DeviceBuffer) else buf
         )
@@ -225,39 +281,20 @@ class Device:
         target = out[: len(src)] if out.shape != src.shape else out
         np.copyto(target, src)
         name = buf.name if isinstance(buf, DeviceBuffer) else ""
-        op, s = self._record_transfer("d2h", src.nbytes, pinned, stream, name)
-        if self.sanitizer is not None:
-            if isinstance(buf, DeviceBuffer):
-                self.sanitizer.record_access(
-                    buf, "read", s, op, byte_start=0, byte_end=src.nbytes
-                )
-            if pinned_out is not None:
-                self.sanitizer.record_access(
-                    pinned_out, "write", s, op, byte_start=0, byte_end=src.nbytes
-                )
-        return target
-
-    def _record_transfer(
-        self,
-        direction: str,
-        nbytes: int,
-        pinned: bool,
-        stream: Optional[Stream],
-        name: str,
-    ):
-        cost = self.cost.transfer_time_ms(nbytes, pinned=pinned)
-        s = stream or self.default_stream
-        op = s.submit(f"{direction}:{name}", direction, cost.milliseconds)  # type: ignore[arg-type]
-        self.profiler.record_transfer(
+        self.enqueue(
             TransferRecord(
-                direction=direction,
-                nbytes=nbytes,
-                modeled_ms=cost.milliseconds,
+                name=f"d2h:{name}",
+                engine="d2h",
+                modeled_ms=self.cost.transfer_time_ms(src.nbytes, pinned=pinned),
+                nbytes=src.nbytes,
                 pinned=pinned,
-                stream=s.name,
-            )
+            ),
+            stream,
+            reads=(buf,) if isinstance(buf, DeviceBuffer) else (),
+            writes=(pinned_out,) if pinned_out is not None else (),
+            nbytes=src.nbytes,
         )
-        return op, s
+        return target
 
     # ------------------------------------------------------------------
     # streams
@@ -289,10 +326,6 @@ class Device:
     def leaked_buffers(self) -> list[DeviceBuffer]:
         """Live (never-freed) device allocations."""
         return self.memory.leaked_buffers()
-
-    def leaked_pinned(self) -> list[PinnedHostBuffer]:
-        """Live (never-freed) pinned host allocations."""
-        return self.pinned.leaked_buffers()
 
     def close(self) -> Optional[SanitizerReport]:
         """Teardown check: report leaked device *and* pinned allocations

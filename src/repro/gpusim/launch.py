@@ -11,8 +11,10 @@ A :class:`Kernel` bundles two implementations of the same computation:
     analytically.
 
 :func:`launch` dispatches to a backend, derives the simulated kernel time
-from the counters via the device cost model, schedules the launch on a
-stream's compute engine, and records a profiler entry.
+from the counters via the device cost model, and enqueues the launch on a
+stream's compute engine through :meth:`~repro.gpusim.device.Device.enqueue`;
+the returned :class:`~repro.gpusim.profiler.LaunchResult` is the
+profiler's record of the launch.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from repro.gpusim.device import Device
 from repro.gpusim.interpreter import run_interpreted
 from repro.gpusim.kernelapi import BarrierDivergenceError
 from repro.gpusim.memory import DeviceBuffer, ResultBuffer
-from repro.gpusim.occupancy import Occupancy, OccupancyLimits, occupancy
-from repro.gpusim.profiler import KernelRecord
+from repro.gpusim.occupancy import OccupancyLimits, occupancy
+from repro.gpusim.profiler import LaunchResult
 from repro.gpusim.streams import Stream
 
 __all__ = ["Kernel", "LaunchConfig", "LaunchResult", "launch"]
@@ -119,23 +121,6 @@ class Kernel:
         raise NotImplementedError(f"{self.name} has no vector path")
 
 
-@dataclass
-class LaunchResult:
-    """What a launch returns to host code."""
-
-    value: Any
-    counters: KernelCounters
-    modeled_ms: float
-    wall_s: float
-    config: LaunchConfig
-    backend: Backend
-    occupancy: Optional[Occupancy] = None
-
-    @property
-    def n_gpu(self) -> int:
-        return self.config.total_threads
-
-
 def launch(
     kernel: Kernel,
     config: LaunchConfig,
@@ -145,14 +130,9 @@ def launch(
     stream: Optional[Stream] = None,
     **kwargs,
 ) -> LaunchResult:
-    """Launch ``kernel`` on ``device`` and record profiler metrics."""
+    """Launch ``kernel`` on ``device``; returns the launch's record."""
     counters = KernelCounters()
     san = device.sanitizer
-    if san is not None:
-        # memcheck: a kernel must not receive freed device buffers
-        for arg_name, arg in kwargs.items():
-            if isinstance(arg, DeviceBuffer):
-                san.check_use(arg, f"launch {kernel.name}({arg_name}=...)")
     t0 = time.perf_counter()
     try:
         if backend == "interpreter":
@@ -185,34 +165,22 @@ def launch(
         registers_per_thread=kernel.registers_per_thread,
         shared_mem_per_block_bytes=kernel.shared_mem_per_block(config.block_dim),
     )
-    modeled_ms = device.cost.kernel_time_ms(counters, occupancy=occ.fraction)
-    s = stream or device.default_stream
-    op = s.submit(kernel.name, "compute", modeled_ms)
-    if san is not None:
-        # racecheck: every device buffer handed to the kernel is accessed
-        # during the compute op — result buffers are written, inputs read
-        for arg in kwargs.values():
-            if isinstance(arg, DeviceBuffer):
-                access = "write" if isinstance(arg, ResultBuffer) else "read"
-                san.record_access(arg, access, s, op)
-    device.profiler.record_kernel(
-        KernelRecord(
+    # every device buffer handed to the kernel is accessed during the
+    # compute op — result buffers are written, inputs read
+    bufs = [arg for arg in kwargs.values() if isinstance(arg, DeviceBuffer)]
+    return device.enqueue(
+        LaunchResult(
             name=kernel.name,
-            grid_dim=config.grid_dim,
-            block_dim=config.block_dim,
-            modeled_ms=modeled_ms,
-            wall_s=wall,
+            engine="compute",
+            modeled_ms=device.cost.kernel_time_ms(counters, occupancy=occ.fraction),
+            value=value,
             counters=counters,
-            stream=s.name,
+            wall_s=wall,
+            config=config,
             backend=backend,
-        )
-    )
-    return LaunchResult(
-        value=value,
-        counters=counters,
-        modeled_ms=modeled_ms,
-        wall_s=wall,
-        config=config,
-        backend=backend,
-        occupancy=occ,
+            occupancy=occ,
+        ),
+        stream,
+        reads=[b for b in bufs if not isinstance(b, ResultBuffer)],
+        writes=[b for b in bufs if isinstance(b, ResultBuffer)],
     )

@@ -14,10 +14,10 @@ What it checks
 --------------
 
 **racecheck**
-    Every buffer access at the :class:`~repro.gpusim.device.Device` /
-    :func:`~repro.gpusim.launch.launch` / :mod:`~repro.gpusim.thrust`
-    boundaries is recorded as an :class:`AccessRecord` — buffer id, byte
-    range, read/write, stream, and the operation's simulated timeline
+    Every device op — kernel launch, device sort, transfer — passes
+    through :meth:`~repro.gpusim.device.Device.enqueue`, which records
+    each buffer it reads or writes as an :class:`AccessRecord` — buffer
+    id, byte range, read/write, stream, and the op's simulated timeline
     interval.  Two accesses to overlapping byte ranges of one buffer
     from *different* streams, at least one of them a write, whose
     timeline intervals overlap and which are not ordered by the
@@ -400,7 +400,7 @@ class Sanitizer:
     ) -> None:
         """Record one access and check it against the buffer's history.
 
-        ``op`` is the scheduled :class:`~repro.gpusim.streams.TimelineOp`
+        ``op`` is the scheduled :class:`~repro.gpusim.profiler.DeviceOp`
         whose interval the access spans; ``stream`` supplies the vector
         clock.  Byte range defaults to the whole allocation.
         """

@@ -1,15 +1,19 @@
-"""CUDA-style streams with an overlap-aware simulated timeline.
+"""CUDA-style streams and the engine-aware scheduler of the simulated device.
 
 The device has three hardware engines — ``compute``, ``h2d`` and ``d2h``
 copy engines — matching the dual-copy-engine Tesla cards the paper used.
 Work items submitted to the same :class:`Stream` are serialized; items in
 different streams overlap whenever their engines are free.  The
-:class:`Timeline` computes start/end instants for every operation so the
-profiler can report how much transfer time the batching scheme hides
-behind kernel execution (Section VI of the paper).
+:class:`Timeline` holds only scheduler state — engine clocks, stream
+vector clocks and epochs: :meth:`Timeline.schedule` places one op and
+returns its interval.  The ops themselves are logged once, by
+:meth:`~repro.gpusim.device.Device.enqueue`, in the device's
+:class:`~repro.gpusim.profiler.Profiler`, which also reports how much
+transfer time the batching scheme hides behind kernel execution
+(Section VI of the paper).
 
 Ordering semantics (the sanitizer's happens-before graph) are explicit:
-each stream carries a vector clock advanced at every submitted op;
+each stream carries a vector clock advanced at every scheduled op;
 :meth:`Stream.record_event` snapshots it into an :class:`Event` bound to
 the recording timeline, :meth:`Stream.wait_event` merges it (and rejects
 events from another timeline or a pre-reset epoch — the CUDA
@@ -30,15 +34,7 @@ from typing import Literal, Optional
 
 from repro.gpusim.sanitizer import SynccheckError
 
-__all__ = [
-    "Engine",
-    "Stream",
-    "Event",
-    "TimelineOp",
-    "Timeline",
-    "StaleStreamError",
-    "concurrent_streams",
-]
+__all__ = ["Engine", "Stream", "Event", "Timeline", "StaleStreamError"]
 
 Engine = Literal["compute", "h2d", "d2h", "host"]
 
@@ -49,21 +45,6 @@ _stream_ids = itertools.count(0)
 
 class StaleStreamError(RuntimeError):
     """A stream from before a :meth:`Timeline.reset` was reused."""
-
-
-@dataclass(frozen=True)
-class TimelineOp:
-    """One scheduled operation on the simulated timeline (times in ms)."""
-
-    name: str
-    stream_id: int
-    engine: Engine
-    start_ms: float
-    end_ms: float
-
-    @property
-    def duration_ms(self) -> float:
-        return self.end_ms - self.start_ms
 
 
 @dataclass
@@ -145,23 +126,21 @@ class Stream:
             if self.clock.get(sid, 0) < seq:
                 self.clock[sid] = seq
 
-    def submit(self, name: str, engine: Engine, duration_ms: float) -> TimelineOp:
-        return self.timeline.schedule(self, name, engine, duration_ms)
-
 
 class Timeline:
     """Engine-aware scheduler for simulated stream operations."""
 
     def __init__(self) -> None:
         self._engine_available: dict[Engine, float] = {e: 0.0 for e in _ENGINES}
-        self.ops: list[TimelineOp] = []
-        self._lock = threading.Lock()
+        #: reentrant so :meth:`~repro.gpusim.device.Device.enqueue` can hold
+        #: it across scheduling an op and logging it
+        self.lock = threading.RLock()
         #: bumped by :meth:`reset`; streams from older epochs are stale
         self.epoch = 0
         self._streams: list[Stream] = []
 
     def _register(self, stream: Stream) -> None:
-        with self._lock:
+        with self.lock:
             self._streams.append(stream)
 
     @property
@@ -170,30 +149,23 @@ class Timeline:
         return [s for s in self._streams if s.epoch == self.epoch]
 
     def schedule(
-        self, stream: Stream, name: str, engine: Engine, duration_ms: float
-    ) -> TimelineOp:
-        """Place one operation; returns its scheduled interval."""
+        self, stream: Stream, engine: Engine, duration_ms: float
+    ) -> tuple[float, float]:
+        """Place one op on ``engine`` after ``stream``'s previous op;
+        returns its ``(start_ms, end_ms)`` interval."""
         if duration_ms < 0:
             raise ValueError("operation duration must be non-negative")
         if engine not in self._engine_available:
             raise ValueError(f"unknown engine {engine!r}")
         stream._check_live()
-        with self._lock:
+        with self.lock:
             start = max(stream.available_ms, self._engine_available[engine])
             end = start + duration_ms
             stream.available_ms = end
             self._engine_available[engine] = end
             stream.seq += 1
             stream.clock[stream.stream_id] = stream.seq
-            op = TimelineOp(
-                name=name,
-                stream_id=stream.stream_id,
-                engine=engine,
-                start_ms=start,
-                end_ms=end,
-            )
-            self.ops.append(op)
-            return op
+            return start, end
 
     def synchronize(self) -> float:
         """Device-wide barrier (``cudaDeviceSynchronize`` analogue).
@@ -202,7 +174,7 @@ class Timeline:
         happens-after all work submitted so far.  Returns the barrier
         instant.
         """
-        with self._lock:
+        with self.lock:
             live = [s for s in self._streams if s.epoch == self.epoch]
             t = max(
                 [*(s.available_ms for s in live), *self._engine_available.values()],
@@ -218,42 +190,15 @@ class Timeline:
                 s.clock = dict(merged)
             return t
 
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-    @property
-    def makespan_ms(self) -> float:
-        """End of the last scheduled operation."""
-        return max((op.end_ms for op in self.ops), default=0.0)
-
-    def busy_ms(self, engine: Engine) -> float:
-        return sum(op.duration_ms for op in self.ops if op.engine == engine)
-
-    def serialized_ms(self) -> float:
-        """Total work if nothing overlapped (sum of all durations)."""
-        return sum(op.duration_ms for op in self.ops)
-
-    def overlap_ms(self) -> float:
-        """Time hidden by engine overlap (serialized - makespan)."""
-        return self.serialized_ms() - self.makespan_ms
-
-    def ops_for_stream(self, stream: Stream) -> list[TimelineOp]:
-        return [op for op in self.ops if op.stream_id == stream.stream_id]
-
     def reset(self) -> None:
-        """Start a fresh epoch: clears ops and invalidates old streams.
+        """Start a fresh epoch: idle engines, old streams invalidated.
 
         Streams created before the reset raise :class:`StaleStreamError`
         on any further use — callers must create new streams
         (``Device.reset`` recreates the default stream).
         """
-        with self._lock:
+        with self.lock:
             self._engine_available = {e: 0.0 for e in _ENGINES}
-            self.ops.clear()
             self.epoch += 1
             self._streams = []
 
-
-def concurrent_streams(timeline: Timeline, n: int) -> list[Stream]:
-    """Convenience: create ``n`` independent streams on one timeline."""
-    return [Stream(timeline, name=f"stream{i}") for i in range(n)]

@@ -3,25 +3,26 @@
 Visualizes what Section VI's 3-stream batching hides: one row per
 stream, engine-coded marks (``K`` kernel/compute, ``>`` h2d, ``<``
 d2h), so the overlap between kernel execution and result-set transfers
-is visible in terminal output.  Used by ``examples/batching_internals``
-and the stream ablation.
+is visible in terminal output.  Reads the device's one op log
+(:class:`~repro.gpusim.profiler.Profiler`).  Used by
+``examples/batching_internals`` and the stream ablation.
 """
 
 from __future__ import annotations
 
-from repro.gpusim.streams import Timeline
+from repro.gpusim.profiler import Profiler
 
 __all__ = ["render_timeline"]
 
 _ENGINE_MARK = {"compute": "K", "h2d": ">", "d2h": "<", "host": "H"}
 
 
-def render_timeline(timeline: Timeline, *, width: int = 72) -> str:
-    """Render the timeline as one ASCII lane per stream."""
-    ops = timeline.ops
+def render_timeline(profiler: Profiler, *, width: int = 72) -> str:
+    """Render the logged ops as one ASCII lane per stream."""
+    ops = profiler.ops
     if not ops:
         return "(empty timeline)"
-    makespan = timeline.makespan_ms
+    makespan = profiler.makespan_ms()
     if makespan <= 0:
         return "(zero-length timeline)"
     stream_ids = sorted({op.stream_id for op in ops})
@@ -40,10 +41,10 @@ def render_timeline(timeline: Timeline, *, width: int = 72) -> str:
     for sid in stream_ids:
         lines.append(f"  s{sid:<3}|" + "".join(lanes[sid]) + "|")
     busy = ", ".join(
-        f"{e}={timeline.busy_ms(e):.2f}ms" for e in ("compute", "h2d", "d2h")
-        if timeline.busy_ms(e) > 0
+        f"{e}={profiler.busy_ms(e):.2f}ms" for e in ("compute", "h2d", "d2h")
+        if profiler.busy_ms(e) > 0
     )
     lines.append(
-        f"  busy: {busy}; hidden by overlap: {timeline.overlap_ms():.2f} ms"
+        f"  busy: {busy}; hidden by overlap: {profiler.overlap_ms():.2f} ms"
     )
     return "\n".join(lines)

@@ -140,13 +140,12 @@ def profile_run(
     device.reset()
     result = h.fit(points, eps, minpts)
     prof = device.profiler
-    tl = device.timeline
 
     compute_ms = prof.kernel_time_ms() + prof.sort_time_ms()
     transfer_ms = prof.transfer_time_ms()
     serialized = compute_ms + transfer_ms
     ideal = max(compute_ms, transfer_ms)
-    observed = tl.makespan_ms
+    observed = prof.makespan_ms()
     if serialized - ideal > 1e-12:
         eff = float(np.clip((serialized - observed) / (serialized - ideal), 0, 1))
     else:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import BatchConfig, BatchPlanner
 from repro.core.batching import build_neighbor_table
+from repro.gpusim import Device, FaultInjector, FaultSpec
 from repro.index import BruteForceIndex, GridIndex
 
 
@@ -196,3 +197,43 @@ class TestBuildNeighborTable:
         assert len(streams) >= 1
         # pinned staging: d2h transfers at the pinned rate
         assert any(t.pinned for t in device.profiler.transfers)
+
+    def test_one_op_log_under_faults(self, uniform_points):
+        """A 3-stream build that recovers an overflow and retries a
+        transfer logs each device op once: the modeled total is the sum
+        of the logged ops plus pinned and stall time, and each engine's
+        ops appear in schedule order."""
+        faults = FaultInjector(
+            [
+                FaultSpec("overflow", frozenset({1})),
+                FaultSpec("transfer", frozenset({2})),
+                FaultSpec("slowdown", delay_ms=0.25, times=2),
+            ]
+        )
+        device = Device(faults=faults)
+        grid = GridIndex.build(uniform_points, 0.4)
+        cfg = BatchConfig(
+            static_threshold=1, static_buffer_size=800, min_buffer_size=128,
+            alpha=0.0,
+        )
+        plan = BatchPlanner(cfg).plan_from_estimate(eb=1, ab=8 * 800)
+        table, stats = build_neighbor_table(
+            grid, device, config=cfg, plan=plan
+        )
+        assert self._table_pairs(table) == self._truth(grid)
+        assert plan.n_batches == 8 and cfg.n_streams == 3
+        assert stats.recovery.splits + stats.recovery.regrows == 1
+        assert stats.recovery.transfer_retries == 1
+
+        prof = device.profiler
+        assert prof.stall_ms == 0.5 and prof.pinned_alloc_ms > 0
+        durations = sum(op.modeled_ms for op in prof.ops)
+        assert prof.total_device_ms() == pytest.approx(
+            durations + prof.pinned_alloc_ms + prof.stall_ms, abs=1e-9
+        )
+        assert len(prof.ops) == (
+            len(prof.kernels) + len(prof.sorts) + len(prof.transfers)
+        )
+        for engine in ("compute", "d2h"):
+            starts = [op.start_ms for op in prof.ops if op.engine == engine]
+            assert starts and starts == sorted(starts)

@@ -95,7 +95,7 @@ class TestAcceptance:
         plan = _plan(cfg)
         faults = FaultInjector.overflow_at(3)
         table, stats = build_neighbor_table(
-            _grid(), Device(), config=cfg, plan=plan, faults=faults
+            _grid(), Device(faults=faults), config=cfg, plan=plan
         )
         assert faults.total_injected == 1
         # completed batches were kept: only the failed batch re-ran,
@@ -131,8 +131,8 @@ class TestAcceptance:
         cfg = _cfg()
         plan = _plan(cfg)
         table, stats = build_neighbor_table(
-            _grid(), Device(), config=cfg, plan=plan,
-            faults=FaultInjector.transfer_at(1),
+            _grid(), Device(faults=FaultInjector.transfer_at(1)),
+            config=cfg, plan=plan,
         )
         assert stats.recovery.transfer_retries == 1
         assert stats.recovery.splits == stats.recovery.regrows == 0
@@ -146,7 +146,7 @@ class TestAcceptance:
         )
         with pytest.raises(TransferError):
             build_neighbor_table(
-                _grid(), Device(), config=cfg, plan=plan, faults=faults
+                _grid(), Device(faults=faults), config=cfg, plan=plan
             )
 
 
@@ -246,8 +246,8 @@ class TestStatsReset:
         # batch 2 overflows after its kernel (1 tick) and splits in two;
         # batches 0, 1, 3 and both halves complete
         table, stats = build_neighbor_table(
-            _grid(), Device(), config=cfg, plan=plan,
-            faults=FaultInjector.overflow_at(2),
+            _grid(), Device(faults=FaultInjector.overflow_at(2)),
+            config=cfg, plan=plan,
         )
         assert stats.recovery.splits == 1
         assert stats.n_batches_run == 5
@@ -271,7 +271,7 @@ class TestStatsReset:
         )
         with pytest.raises(TransferError) as ei:
             build_neighbor_table(
-                _grid(), Device(), config=cfg, plan=plan, faults=faults
+                _grid(), Device(faults=faults), config=cfg, plan=plan
             )
         stats = ei.value.build_stats
         assert stats.n_batches_run == 2
@@ -304,7 +304,7 @@ class TestRecoveryProperties:
             [FaultSpec(kind, frozenset({batch}), times=times)]
         )
         table, stats = build_neighbor_table(
-            _grid(), Device(), config=cfg, plan=plan, faults=faults
+            _grid(), Device(faults=faults), config=cfg, plan=plan
         )
         assert faults.total_injected >= 1
         assert stats.recovery.recoveries >= 1
@@ -325,7 +325,7 @@ class TestRecoveryProperties:
             [FaultSpec("overflow", frozenset(batches), times=len(batches))]
         )
         table, stats = build_neighbor_table(
-            _grid(), Device(), config=cfg, plan=plan, faults=faults
+            _grid(), Device(faults=faults), config=cfg, plan=plan
         )
         assert stats.recovery.recoveries >= 1
         assert _neighbors(table) == reference

@@ -78,8 +78,13 @@ class TestLaunch:
         assert rv.counters.threads == ri.counters.threads
 
     def test_profiler_record(self, device):
-        launch(AddOne(), LaunchConfig.for_elements(10), device, data=np.zeros(10))
-        rec = device.profiler.kernels[-1]
+        res = launch(
+            AddOne(), LaunchConfig.for_elements(10), device, data=np.zeros(10)
+        )
+        # the launch's result is its one record in the device's op log
+        (rec,) = device.profiler.ops
+        assert rec is res
+        assert device.profiler.kernels == [res]
         assert rec.name == "AddOne"
         assert rec.n_gpu == 256
         assert rec.modeled_ms > 0
@@ -94,8 +99,11 @@ class TestLaunch:
             stream=s,
             data=np.zeros(10),
         )
-        assert device.profiler.kernels[-1].stream == "work"
-        assert device.timeline.ops[-1].engine == "compute"
+        (rec,) = device.profiler.ops
+        assert (rec.stream, rec.stream_id, rec.engine) == (
+            "work", s.stream_id, "compute"
+        )
+        assert rec.end_ms - rec.start_ms == pytest.approx(rec.modeled_ms)
 
     def test_modeled_time_from_cost_model(self, device):
         res = launch(

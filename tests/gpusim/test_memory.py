@@ -162,6 +162,14 @@ class TestTransfers:
         assert summary["transfers"] == 2
         assert summary["h2d_bytes"] == host.nbytes
         assert summary["d2h_bytes"] == host.nbytes
+        # one record per copy, in enqueue order, serialized on the stream
+        h2d, d2h = device.profiler.ops
+        assert (h2d.engine, d2h.engine) == ("h2d", "d2h")
+        assert h2d.nbytes == d2h.nbytes == host.nbytes
+        assert d2h.start_ms == h2d.end_ms
+        assert h2d.modeled_ms == device.cost.transfer_time_ms(
+            host.nbytes, pinned=False
+        )
 
     def test_result_prefix_transfer(self, device):
         buf = device.allocate_result_buffer(100, np.int64)
@@ -205,4 +213,4 @@ class TestDeviceSpec:
         device.to_device(np.arange(10.0))
         device.reset()
         assert device.profiler.summary()["transfers"] == 0
-        assert device.timeline.makespan_ms == 0.0
+        assert device.profiler.makespan_ms() == 0.0

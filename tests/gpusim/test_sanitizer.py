@@ -26,7 +26,7 @@ from repro.gpusim import (
 from repro.gpusim.device import sanitize_default
 from repro.gpusim.kernelapi import BarrierDivergenceError
 from repro.gpusim.sanitizer import MemcheckError, Sanitizer, SanitizerError
-from repro.gpusim.thrust import reduce_sum, sort_pairs
+from repro.gpusim.thrust import sort_pairs
 
 
 @pytest.fixture
@@ -84,8 +84,8 @@ class TestRacecheck:
         sdevice.synchronize()  # order the appends' device sort-free state
         s1 = sdevice.new_stream("r1")
         s2 = sdevice.new_stream("r2")
-        reduce_sum(buf, sdevice, stream=s1)
-        reduce_sum(buf, sdevice, stream=s2)
+        sdevice.from_device(buf, stream=s1, count=buf.count)
+        sdevice.from_device(buf, stream=s2, count=buf.count)
         assert sdevice.sanitizer.report.clean
 
     def test_same_stream_is_program_ordered(self, sdevice):
@@ -146,11 +146,11 @@ class TestMemcheck:
             sdevice.from_device(buf)
 
     def test_use_after_free_thrust(self, sdevice):
-        buf = sdevice.to_device(np.arange(8.0))
+        buf = sdevice.to_device(np.zeros((8, 2), dtype=np.int64))
         sdevice.synchronize()
         buf.free()
         with pytest.raises(UseAfterFreeError):
-            reduce_sum(buf, sdevice)
+            sort_pairs(buf, sdevice)
 
     def test_overflow_is_oob_and_overflow(self, sdevice):
         """Sanitized overflow raises OutOfBoundsError, which recovery

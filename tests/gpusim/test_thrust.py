@@ -5,52 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpusim import Device, sort_by_key
-from repro.gpusim.thrust import reduce_sum, sort_pairs
-
-
-class TestSortByKey:
-    def test_basic(self, device):
-        k = device.to_device(np.array([3, 1, 2], dtype=np.int64))
-        v = device.to_device(np.array([30, 10, 20], dtype=np.int64))
-        n = sort_by_key(k, v, device)
-        assert n == 3
-        assert k.data.tolist() == [1, 2, 3]
-        assert v.data.tolist() == [10, 20, 30]
-
-    def test_stability(self, device):
-        k = device.to_device(np.array([1, 0, 1, 0], dtype=np.int64))
-        v = device.to_device(np.array([0, 1, 2, 3], dtype=np.int64))
-        sort_by_key(k, v, device)
-        assert v.data.tolist() == [1, 3, 0, 2]
-
-    def test_length_mismatch(self, device):
-        k = device.to_device(np.arange(3))
-        v = device.to_device(np.arange(4))
-        with pytest.raises(ValueError):
-            sort_by_key(k, v, device)
-
-    def test_result_buffer_prefix_only(self, device):
-        k = device.allocate_result_buffer(10, np.int64)
-        v = device.allocate_result_buffer(10, np.int64)
-        k.append_block(np.array([5, 2, 9]))
-        v.append_block(np.array([50, 20, 90]))
-        n = sort_by_key(k, v, device)
-        assert n == 3
-        assert k.view().tolist() == [2, 5, 9]
-        assert v.view().tolist() == [20, 50, 90]
-
-    def test_profiler_record(self, device):
-        k = device.to_device(np.arange(100))
-        v = device.to_device(np.arange(100))
-        sort_by_key(k, v, device)
-        assert device.profiler.sorts[-1].n == 100
-        assert device.profiler.sort_time_ms() > 0
-
-    def test_empty(self, device):
-        k = device.allocate_result_buffer(10, np.int64)
-        v = device.allocate_result_buffer(10, np.int64)
-        assert sort_by_key(k, v, device) == 0
+from repro.gpusim import Device, sort_pairs
 
 
 class TestSortPairs:
@@ -66,6 +21,33 @@ class TestSortPairs:
         buf.append_block(np.array([[1, 5], [0, 9], [1, 2]]))
         sort_pairs(buf, device)
         assert buf.view().tolist() == [[0, 9], [1, 5], [1, 2]]
+
+    def test_result_buffer_prefix_only(self, device):
+        buf = device.allocate_result_buffer((10, 2), np.int64)
+        buf.append_block(np.array([[5, 50], [2, 20], [9, 90]]))
+        buf.data[3:] = -1  # unfilled tail: would sort first if included
+        assert sort_pairs(buf, device) == 3
+        assert buf.view().tolist() == [[2, 20], [5, 50], [9, 90]]
+        assert (buf.data[3:] == -1).all()
+
+    def test_empty(self, device):
+        buf = device.allocate_result_buffer((10, 2), np.int64)
+        assert sort_pairs(buf, device) == 0
+        assert device.profiler.sorts[-1].n == 0
+
+    def test_one_record_per_sort(self, device):
+        buf = device.allocate_result_buffer((100, 2), np.int64)
+        buf.append_block(np.zeros((100, 2), dtype=np.int64))
+        s = device.new_stream("sort")
+        sort_pairs(buf, device, stream=s)
+        (op,) = device.profiler.ops
+        assert op is device.profiler.sorts[-1]
+        assert (op.name, op.engine, op.stream, op.n) == (
+            "thrust::sort_by_key", "compute", "sort", 100,
+        )
+        assert op.modeled_ms == device.cost.sort_time_ms(100)
+        assert op.end_ms - op.start_ms == pytest.approx(op.modeled_ms)
+        assert device.profiler.sort_time_ms() == op.modeled_ms
 
     def test_wrong_shape(self, device):
         buf = device.allocate_result_buffer(10, np.int64)
@@ -84,12 +66,3 @@ class TestSortPairs:
         expected = arr[np.argsort(arr[:, 0], kind="stable")] if len(arr) else arr
         assert np.array_equal(buf.view(), expected)
 
-
-class TestReduce:
-    def test_sum(self, device):
-        buf = device.to_device(np.arange(10, dtype=np.float64))
-        assert reduce_sum(buf, device) == 45.0
-
-    def test_empty(self, device):
-        buf = device.allocate_result_buffer(5, np.float64)
-        assert reduce_sum(buf, device) == 0.0
