@@ -19,22 +19,11 @@ def multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.int64)
     if starts.shape != counts.shape:
         raise ValueError("starts and counts must have the same shape")
-    if counts.size == 0:
-        return np.empty(0, dtype=np.int64)
     if np.any(counts < 0):
         raise ValueError("counts must be non-negative")
-    nz = counts > 0
-    starts = starts[nz]
-    counts = counts[nz]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    incr = np.ones(total, dtype=np.int64)
-    incr[0] = starts[0]
-    if len(counts) > 1:
-        reset_at = np.cumsum(counts[:-1])
-        incr[reset_at] = starts[1:] - (starts[:-1] + counts[:-1] - 1)
-    return np.cumsum(incr)
+    # each output is its range start plus its offset within the range
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
 
 
 def expand_ranges(

@@ -145,6 +145,16 @@ class ResultBuffer(DeviceBuffer):
         self.data[start : start + n] = values
         return start
 
+    def append_columns(self, *columns: np.ndarray) -> int:
+        """Reserve ``len(columns[0])`` rows and write column ``j`` from
+        ``columns[j]`` in place — no stacked temporary."""
+        n = len(columns[0])
+        start = self.reserve(n)
+        rows = self.data[start : start + n]
+        for j, col in enumerate(columns):
+            rows[:, j] = col
+        return start
+
     def view(self) -> np.ndarray:
         """View of the filled prefix (device-side; host must copy out)."""
         return self.data[: self._cursor]

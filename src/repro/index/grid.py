@@ -19,17 +19,21 @@ in its own cell plus the 8 adjacent cells.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from repro._nputil import run_boundaries
+from repro._nputil import multi_arange, run_boundaries
 from repro.index.base import InvalidInputError, as_points, check_eps
 
-__all__ = ["MAX_CELLS", "point_extent", "GridGeometry", "GridIndex", "GridStats"]
+__all__ = ["MAX_CELLS", "point_extent", "GridGeometry", "GridIndex", "GridStats", "StencilHits"]
 
 #: refuse grids with more cells than this (degenerate ε for the extent)
 MAX_CELLS = 200_000_000
+
+#: points per :meth:`GridIndex.eps_search` block (~250k candidates at
+#: the paper's densities: a block's temporaries fit in L2)
+_SEARCH_BLOCK = 4096
 
 _NEIGHBOR_OFFSETS = np.array(
     [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)], dtype=np.int64
@@ -78,6 +82,21 @@ class GridGeometry:
         return cx, cy
 
 
+class StencilHits(NamedTuple):
+    """What :meth:`GridIndex.eps_search` found for a set of points."""
+
+    #: one ``(key, value)`` pair per ε-neighbour: the searched point
+    #: and its neighbour, point-major in the paper kernel's scan order
+    keys: np.ndarray
+    values: np.ndarray
+    #: their squared distances
+    d2: np.ndarray
+    #: candidates scanned (the paper kernel's distance evaluations)
+    n_cand: int
+    #: in-grid neighbour cells (the paper kernel's ``G`` range reads)
+    n_cells: int
+
+
 @dataclass(frozen=True)
 class GridStats:
     """Summary statistics used by benches and the shared-kernel schedule."""
@@ -107,6 +126,9 @@ class GridIndex(GridGeometry):
     cell_max: np.ndarray
     #: sorted ids of non-empty cells (schedule ``S`` for GPUCalcShared)
     nonempty_cells: np.ndarray
+    #: point x / y in ``A`` order, read by :meth:`eps_search`
+    lookup_x: np.ndarray
+    lookup_y: np.ndarray
 
     # ------------------------------------------------------------------
     # construction
@@ -152,6 +174,8 @@ class GridIndex(GridGeometry):
             cell_min=cell_min,
             cell_max=cell_max,
             nonempty_cells=uniq.astype(np.int64),
+            lookup_x=pts[lookup, 0],
+            lookup_y=pts[lookup, 1],
         )
 
     @staticmethod
@@ -181,18 +205,80 @@ class GridIndex(GridGeometry):
         ok = (nbr_x >= 0) & (nbr_x < self.nx) & (nbr_y >= 0) & (nbr_y < self.ny)
         return (nbr_y[ok] * self.nx + nbr_x[ok]).astype(np.int64)
 
-    def neighbor_cells_of_points(self, cell_ids: np.ndarray) -> np.ndarray:
-        """Vectorized 9-neighborhood: returns ``(len(cell_ids), 9)`` linear
-        ids with ``-1`` for out-of-grid positions."""
-        cell_ids = np.asarray(cell_ids, dtype=np.int64)
-        cx = cell_ids % self.nx
-        cy = cell_ids // self.nx
-        nbr_x = cx[:, None] + _NEIGHBOR_OFFSETS[None, :, 0]
-        nbr_y = cy[:, None] + _NEIGHBOR_OFFSETS[None, :, 1]
-        ok = (nbr_x >= 0) & (nbr_x < self.nx) & (nbr_y >= 0) & (nbr_y < self.ny)
-        out = nbr_y * self.nx + nbr_x
-        out[~ok] = -1
-        return out
+    def row_ranges(
+        self, ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Candidates of points ``ids`` as ≤3 contiguous ``A`` row ranges.
+
+        ``A`` is a stable sort of linear cell ids, so the in-grid cells
+        ``cx−1..cx+1`` of grid row ``cy+dy`` hold one contiguous ``A``
+        range: a point scans three ranges instead of nine cells, in the
+        paper kernel's order (dy-major, then dx, then ``A``).  Returns
+        ``(starts, counts, n_cells)``: ``(len(ids), 3)`` range starts
+        and lengths (one column per dy), and per point the number of
+        in-grid neighbour cells (the paper kernel's ``G`` reads).
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        nx, ny = self.nx, self.ny
+        cell = self.cell_of_point[ids]
+        cx, cy = cell % nx, cell // nx
+        # clipped columns repeat an edge cell, which leaves the row's
+        # first and last non-empty cell unchanged
+        cols = (np.maximum(cx - 1, 0), cx, np.minimum(cx + 1, nx - 1))
+        starts = np.empty((len(ids), 3), dtype=np.int64)
+        counts = np.empty((len(ids), 3), dtype=np.int64)
+        for k, dy in enumerate((-1, 0, 1)):
+            yy = cy + dy
+            row = np.clip(yy, 0, ny - 1) * nx
+            # an empty cell's −1 is the largest uint64: min skips it
+            lo = np.minimum.reduce(
+                [self.cell_min[row + c].view(np.uint64) for c in cols]
+            ).view(np.int64)
+            hi = np.maximum.reduce([self.cell_max[row + c] for c in cols])
+            starts[:, k] = lo
+            in_grid = (yy >= 0) & (yy < ny) & (hi >= 0)
+            counts[:, k] = np.where(in_grid, hi - lo + 1, 0)
+        n_rows = np.minimum(cy + 1, ny - 1) - np.maximum(cy - 1, 0) + 1
+        return starts, counts, n_rows * (cols[2] - cols[0] + 1)
+
+    def eps_search(self, ids: np.ndarray) -> StencilHits:
+        """ε-neighbours of points ``ids`` over their :meth:`row_ranges`,
+        reading candidates from the ``A``-ordered coordinates; hits
+        keep the paper kernel's emission order, point-major.  Runs in
+        blocks of points so each block's candidate arrays stay in cache."""
+        ids = np.asarray(ids, dtype=np.int64)
+        blocks = [
+            self._search_block(ids[i : i + _SEARCH_BLOCK])
+            for i in range(0, max(len(ids), 1), _SEARCH_BLOCK)
+        ]
+        return StencilHits(
+            keys=np.concatenate([b.keys for b in blocks]),
+            values=np.concatenate([b.values for b in blocks]),
+            d2=np.concatenate([b.d2 for b in blocks]),
+            n_cand=sum(b.n_cand for b in blocks),
+            n_cells=sum(b.n_cells for b in blocks),
+        )
+
+    def _search_block(self, ids: np.ndarray) -> StencilHits:
+        starts, counts, n_cells = self.row_ranges(ids)
+        flat = multi_arange(starts.ravel(), counts.ravel())
+        n_cand = counts.sum(axis=1)
+        # (p − q)² summed as in the paper kernel, in place
+        d2 = np.repeat(self.points[ids, 0], n_cand) - self.lookup_x[flat]
+        d2 *= d2
+        dy2 = np.repeat(self.points[ids, 1], n_cand) - self.lookup_y[flat]
+        dy2 *= dy2
+        d2 += dy2
+        hit = d2 <= self.eps * self.eps
+        # every point is its own candidate, so no segment is empty
+        n_hits = np.add.reduceat(hit, np.cumsum(n_cand) - n_cand, dtype=np.int64)
+        return StencilHits(
+            keys=np.repeat(ids, n_hits),
+            values=self.lookup[flat[hit]],
+            d2=d2[hit],
+            n_cand=len(flat),
+            n_cells=int(n_cells.sum()),
+        )
 
     def cell_point_ids(self, h: int) -> np.ndarray:
         """Point ids (into the sorted ``points``) inside cell ``h``."""
@@ -201,12 +287,6 @@ class GridIndex(GridGeometry):
             return np.empty(0, dtype=np.int64)
         return self.lookup[lo : self.cell_max[h] + 1]
 
-    def candidate_ids(self, point_id: int) -> np.ndarray:
-        """All point ids in the ≤9 cells around ``point_id``'s cell."""
-        cells = self.neighbor_cells(int(self.cell_of_point[point_id]))
-        parts = [self.cell_point_ids(h) for h in cells]
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
     def range_query(self, point_id: int, eps: Optional[float] = None) -> np.ndarray:
         """ε-range query (``SpatialIndex`` protocol); ``eps`` must match
         the construction ε if given."""
@@ -214,10 +294,7 @@ class GridIndex(GridGeometry):
             raise ValueError(
                 f"grid was built for eps={self.eps}; cannot query eps={eps}"
             )
-        cand = self.candidate_ids(point_id)
-        p = self.points[point_id]
-        d2 = ((self.points[cand] - p) ** 2).sum(axis=1)
-        return cand[d2 <= self.eps * self.eps]
+        return self.eps_search(np.array([point_id])).values
 
     # ------------------------------------------------------------------
     # stats / export

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro._nputil import expand_ranges
 from repro.gpusim.costmodel import KernelCounters
 from repro.gpusim.kernelapi import KernelContext
 from repro.gpusim.launch import Kernel, LaunchConfig
@@ -182,54 +181,30 @@ class GPUCalcGlobal(Kernel):
         array over all points) narrows the batch to a subset — the
         overflow-recovery path re-runs a failed batch as split halves.
         """
-        pts = grid.points
         if point_mask is not None:
             ids = np.flatnonzero(point_mask).astype(np.int64)
         else:
-            ids = batch_point_ids(len(pts), batch, n_batches, batch_order)
+            ids = batch_point_ids(len(grid), batch, n_batches, batch_order)
         if config.total_threads < len(ids):
             raise ValueError(
                 f"launch too small: {config.total_threads} threads for "
                 f"{len(ids)} batch points"
             )
         counters.divergent_threads += config.total_threads - len(ids)
-        if len(ids) == 0:
-            return 0
+        found = grid.eps_search(ids)
+        n_hits = len(found.keys)
+        counters.distance_calcs += found.n_cand
+        # own coords, in-grid cell ranges (the SIMT path bounds-checks
+        # before touching G), then A[a] + candidate coords
+        counters.global_loads += 2 * len(ids) + 2 * found.n_cells + 3 * found.n_cand
+        counters.atomics += n_hits
+        counters.global_stores += (3 if emit_distance else 2) * n_hits
 
-        nbr = grid.neighbor_cells_of_points(grid.cell_of_point[ids])  # (n, 9)
-        valid = nbr >= 0
-        safe = np.where(valid, nbr, 0)
-        starts = np.where(valid, grid.cell_min[safe], -1)
-        ends = np.where(valid, grid.cell_max[safe], -1)
-        rep_ids, flat_a = expand_ranges(
-            np.repeat(ids, nbr.shape[1]), starts.ravel(), ends.ravel()
-        )
-        cand = grid.lookup[flat_a]
-
-        diff = pts[rep_ids] - pts[cand]
-        d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
-        hit = d2 <= grid.eps * grid.eps
-        keys = rep_ids[hit]
-        values = cand[hit]
-
-        n_cand = len(rep_ids)
-        counters.distance_calcs += n_cand
-        counters.global_loads += 2 * len(ids)  # own coords
-        # cell range lookups: only in-grid neighbor cells are ever read
-        # (the SIMT path bounds-checks before touching G)
-        counters.global_loads += 2 * int(valid.sum())
-        counters.global_loads += 3 * n_cand  # A[a] + candidate coords
-        counters.atomics += len(keys)
-        counters.global_stores += (3 if emit_distance else 2) * len(keys)
-
-        if len(keys):
-            if emit_distance:
-                result.append_block(
-                    np.column_stack([keys, values, np.sqrt(d2[hit])])
-                )
-            else:
-                result.append_block(np.column_stack([keys, values]))
-        return int(len(keys))
+        if n_hits and emit_distance:
+            result.append_columns(found.keys, found.values, np.sqrt(found.d2))
+        elif n_hits:
+            result.append_columns(found.keys, found.values)
+        return n_hits
 
     # ------------------------------------------------------------------
     @staticmethod

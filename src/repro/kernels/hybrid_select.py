@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._nputil import expand_ranges
 from repro.gpusim.costmodel import KernelCounters
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.launch import Kernel, LaunchConfig
 from repro.gpusim.memory import ResultBuffer
 from repro.index.grid import GridIndex
+from repro.kernels.shared_kernel import block_tiles
 
 __all__ = ["HybridSelectKernel", "partition_cells"]
 
@@ -132,70 +132,38 @@ class HybridSelectKernel(Kernel):
     ) -> int:
         bs = config.block_dim
         thr = self.dense_threshold or max(1, bs // 4)
-        dense_cells, sparse_cells = partition_cells(
+        dense_cells, _ = partition_cells(
             grid, thr, include_ties=self._ties_dense(bs)
         )
-        pts = grid.points
-        eps2 = grid.eps * grid.eps
-        total = 0
-        out: list[np.ndarray] = []
+        cells = grid.nonempty_cells
+        size = grid.cell_max[cells] - grid.cell_min[cells] + 1
+        # own-cell density of every point, in A order
+        dense_a = np.repeat(np.isin(cells, dense_cells, assume_unique=True), size)
+        in_batch = grid.lookup % n_batches == batch
+        dense = grid.eps_search(grid.lookup[dense_a & in_batch])
+        sparse_ids = grid.lookup[~dense_a & in_batch]
+        sparse = grid.eps_search(sparse_ids)
 
         # ---- shared-memory side: block per dense cell -----------------
-        for h in dense_cells:
-            origin_all = grid.cell_point_ids(int(h))
-            origin = (
-                origin_all[origin_all % n_batches == batch]
-                if n_batches > 1
-                else origin_all
-            )
-            nbr = grid.neighbor_cells(int(h))
-            nbr = nbr[grid.cell_min[nbr] >= 0]
-            comp = np.concatenate([grid.cell_point_ids(int(c)) for c in nbr])
-            n_o_tiles = (len(origin_all) + bs - 1) // bs
-            counters.shared_stores += 2 * (len(origin_all) + n_o_tiles * len(comp))
-            counters.global_loads += 3 * (len(origin_all) + n_o_tiles * len(comp))
-            counters.syncs += bs * (1 + 2 * n_o_tiles * max(1, len(comp) // bs))
-            if len(origin) == 0:
-                continue
-            diff = pts[origin][:, None, :] - pts[comp][None, :, :]
-            d2 = diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2
-            oi, cj = np.nonzero(d2 <= eps2)
-            counters.distance_calcs += len(origin) * len(comp)
-            counters.shared_loads += 2 * len(origin) * len(comp)
-            if len(oi):
-                out.append(np.column_stack([origin[oi], comp[cj]]))
-                counters.atomics += len(oi)
-                counters.global_stores += 2 * len(oi)
-                total += len(oi)
+        d_size, o_tiles, comp, _ = block_tiles(grid, dense_cells, bs)
+        paged = int((d_size + o_tiles * comp).sum())
+        counters.shared_stores += 2 * paged
+        counters.global_loads += 3 * paged
+        # barriers: one comparison tile per bs comparison points
+        counters.syncs += bs * int((1 + 2 * o_tiles * np.maximum(1, comp // bs)).sum())
+        counters.shared_loads += 2 * dense.n_cand
 
         # ---- global-memory side: thread per sparse-cell point ---------
-        if len(sparse_cells):
-            sp_ids = np.concatenate(
-                [grid.cell_point_ids(int(h)) for h in sparse_cells]
-            )
-            if n_batches > 1:
-                sp_ids = sp_ids[sp_ids % n_batches == batch]
-            if len(sp_ids):
-                nbr = grid.neighbor_cells_of_points(grid.cell_of_point[sp_ids])
-                valid = nbr >= 0
-                safe = np.where(valid, nbr, 0)
-                starts = np.where(valid, grid.cell_min[safe], -1)
-                ends = np.where(valid, grid.cell_max[safe], -1)
-                rep, flat = expand_ranges(
-                    np.repeat(sp_ids, nbr.shape[1]), starts.ravel(), ends.ravel()
-                )
-                cand = grid.lookup[flat]
-                diff = pts[rep] - pts[cand]
-                hit = diff[:, 0] ** 2 + diff[:, 1] ** 2 <= eps2
-                keys, values = rep[hit], cand[hit]
-                counters.distance_calcs += len(rep)
-                counters.global_loads += 3 * len(rep) + 20 * len(sp_ids)
-                counters.atomics += len(keys)
-                counters.global_stores += 2 * len(keys)
-                if len(keys):
-                    out.append(np.column_stack([keys, values]))
-                    total += len(keys)
+        # as GPUCalcGlobal: own coords, in-grid cell ranges, candidates
+        counters.global_loads += 2 * len(sparse_ids) + 2 * sparse.n_cells + 3 * sparse.n_cand
 
-        if out:
-            result.append_block(np.concatenate(out, axis=0))
-        return total
+        n_hits = len(dense.keys) + len(sparse.keys)
+        counters.distance_calcs += dense.n_cand + sparse.n_cand
+        counters.atomics += n_hits
+        counters.global_stores += 2 * n_hits
+        if n_hits:
+            result.append_columns(
+                np.concatenate([dense.keys, sparse.keys]),
+                np.concatenate([dense.values, sparse.values]),
+            )
+        return n_hits

@@ -24,12 +24,34 @@ from repro.gpusim.kernelapi import Barrier, KernelContext
 from repro.gpusim.launch import Kernel, LaunchConfig
 from repro.gpusim.memory import ResultBuffer
 from repro.index.grid import GridIndex
+from repro.kernels.global_kernel import batch_point_ids
 
-__all__ = ["GPUCalcShared"]
+__all__ = ["GPUCalcShared", "block_tiles"]
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.absint import KernelInvariants
     from repro.analysis.costmodel import CostContract
+
+
+def block_tiles(
+    grid: GridIndex, cells: np.ndarray, block_dim: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per block (origin cell in ``cells``): its points, its origin
+    tiles, the points of its non-empty neighbour cells and their tiles
+    (each comparison cell is paged in ``block_dim``-point tiles)."""
+    size = grid.cell_max[cells] - grid.cell_min[cells] + 1
+    cx, cy = cells % grid.nx, cells // grid.nx
+    comp = np.zeros(len(cells), dtype=np.int64)
+    comp_tiles = np.zeros(len(cells), dtype=np.int64)
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            xx, yy = cx + dx, cy + dy
+            ok = (xx >= 0) & (xx < grid.nx) & (yy >= 0) & (yy < grid.ny)
+            h = np.where(ok, yy * grid.nx + xx, 0)
+            n = np.where(ok & (grid.cell_min[h] >= 0), grid.cell_max[h] - grid.cell_min[h] + 1, 0)
+            comp += n
+            comp_tiles += (n + block_dim - 1) // block_dim
+    return size, (size + block_dim - 1) // block_dim, comp, comp_tiles
 
 
 class GPUCalcShared(Kernel):
@@ -204,10 +226,12 @@ class GPUCalcShared(Kernel):
     ) -> int:
         """Block-per-cell evaluation; returns pairs appended.
 
-        The Python loop runs once per non-empty cell — exactly the
-        block-level work decomposition of the kernel — with each block's
-        distance phase vectorized.  ``point_mask`` narrows the batch to
-        a subset of origin points (the overflow-recovery split path).
+        Each block's paging, tile and barrier counts are array
+        arithmetic over the non-empty cells (:func:`block_tiles`); the
+        distance phase is the grid's row-stencil search over the batch's
+        origin points in ``A`` order — cell by cell, as the blocks emit.
+        ``point_mask`` narrows the batch to a subset of origin points
+        (the overflow-recovery split path).
         """
         bs = config.block_dim
         cells = grid.nonempty_cells
@@ -216,56 +240,26 @@ class GPUCalcShared(Kernel):
                 f"launch too small: {config.grid_dim} blocks for "
                 f"{len(cells)} non-empty cells"
             )
-        eps2 = grid.eps * grid.eps
-        pts = grid.points
-        total_hits = 0
-        out_blocks: list[np.ndarray] = []
+        size, o_tiles, comp, comp_tiles = block_tiles(grid, cells, bs)
+        # every origin tile re-pages every comparison tile
+        paged = int((size + o_tiles * comp).sum())
+        counters.shared_stores += 2 * paged
+        counters.global_loads += 3 * paged
+        # barriers are crossed by every thread of the block
+        counters.syncs += bs * int((1 + 2 * o_tiles * comp_tiles).sum())
 
-        for h in cells:
-            origin_all = grid.cell_point_ids(int(h))
-            if point_mask is not None:
-                origin = origin_all[point_mask[origin_all]]
-            elif n_batches > 1:
-                if batch_order == "strided":
-                    origin = origin_all[origin_all % n_batches == batch]
-                else:
-                    chunk = (len(grid.points) + n_batches - 1) // n_batches
-                    lo, hi = batch * chunk, (batch + 1) * chunk
-                    origin = origin_all[(origin_all >= lo) & (origin_all < hi)]
-            else:
-                origin = origin_all
-            nbr_cells = grid.neighbor_cells(int(h))
-            nbr_cells = nbr_cells[grid.cell_min[nbr_cells] >= 0]
-            comp = np.concatenate([grid.cell_point_ids(int(c)) for c in nbr_cells])
-
-            n_o_tiles = (len(origin_all) + bs - 1) // bs
-            # paging cost: every origin tile re-pages every comparison tile
-            comp_tiles = int(
-                sum((grid.cell_max[c] - grid.cell_min[c] + 1 + bs - 1) // bs
-                    for c in nbr_cells)
-            )
-            counters.shared_stores += 2 * (len(origin_all) + n_o_tiles * len(comp))
-            counters.global_loads += 3 * (len(origin_all) + n_o_tiles * len(comp))
-            # barriers are crossed by every thread of the block
-            counters.syncs += bs * (1 + 2 * n_o_tiles * comp_tiles)
-
-            if len(origin) == 0:
-                continue
-            diff = pts[origin][:, None, :] - pts[comp][None, :, :]
-            d2 = diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2
-            oi, cj = np.nonzero(d2 <= eps2)
-            counters.distance_calcs += len(origin) * len(comp)
-            counters.shared_loads += 2 * len(origin) * len(comp)
-            n_hits = len(oi)
-            if n_hits:
-                out_blocks.append(np.column_stack([origin[oi], comp[cj]]))
-                counters.atomics += n_hits
-                counters.global_stores += 2 * n_hits
-                total_hits += n_hits
-
-        if out_blocks:
-            result.append_block(np.concatenate(out_blocks, axis=0))
-        return total_hits
+        if point_mask is None:
+            point_mask = np.zeros(len(grid), dtype=bool)
+            point_mask[batch_point_ids(len(grid), batch, n_batches, batch_order)] = True
+        found = grid.eps_search(grid.lookup[point_mask[grid.lookup]])
+        n_hits = len(found.keys)
+        counters.distance_calcs += found.n_cand
+        counters.shared_loads += 2 * found.n_cand
+        counters.atomics += n_hits
+        counters.global_stores += 2 * n_hits
+        if n_hits:
+            result.append_columns(found.keys, found.values)
+        return n_hits
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -1,5 +1,7 @@
 """Tests for the synthetic SW/SDSS dataset generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,22 @@ class TestCalibratedDatasets:
     def test_unknown_dataset(self):
         with pytest.raises(KeyError):
             dataset("SW9")
+
+    @pytest.mark.parametrize(
+        ("name", "scale", "seed", "n", "digest"),
+        [
+            ("SDSS3", 0.01, 1, 152_286, "698af8c0320dfccfbd199560d073aca3"),
+            ("SW1", 0.05, 0, 93_231, "f5630f539f64c7665d8c8286bbae85a2"),
+        ],
+    )
+    def test_calibrated_points_are_pinned(self, name, scale, seed, n, digest):
+        """Calibration reads the density sampler's neighbour counts, so
+        any change to the ε-search must leave the generated points
+        byte-identical (these are the benchmark's inputs)."""
+        pts = dataset(name, scale=scale, seed=seed)
+        assert pts.shape == (n, 2)
+        got = hashlib.blake2b(np.ascontiguousarray(pts).tobytes(), digest_size=16)
+        assert got.hexdigest() == digest
 
 
 class TestDensityProfile:

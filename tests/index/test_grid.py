@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._nputil import expand_ranges
 from repro.index import BruteForceIndex, GridIndex
 
 points_strategy = st.lists(
@@ -120,18 +121,98 @@ class TestNeighborCells:
         g = GridIndex.build(pts, 1.0)
         assert len(g.neighbor_cells(0)) == 4
 
-    def test_vectorized_matches_scalar(self, uniform_points):
-        g = GridIndex.build(uniform_points, 0.4)
-        cells = g.nonempty_cells[:30]
-        mat = g.neighbor_cells_of_points(cells)
-        for row, h in zip(mat, cells, strict=True):
-            got = sorted(row[row >= 0].tolist())
-            assert got == sorted(g.neighbor_cells(int(h)).tolist())
-
     def test_single_cell_grid(self):
         pts = np.array([[0.1, 0.1], [0.2, 0.2]])
         g = GridIndex.build(pts, 5.0)
         assert g.neighbor_cells(0).tolist() == [0]
+
+
+@st.composite
+def stencil_cases(draw):
+    """Grids the row stencil must get right: one-row and one-column
+    grids, lattices with points on cell edges, at the extent maximum
+    and exactly ε apart, single points and duplicates."""
+    eps = draw(st.sampled_from([0.1, 0.3, 0.5, 1.0]))
+    shape = draw(st.sampled_from(["free", "row", "column", "lattice"]))
+    n = draw(st.integers(min_value=1, max_value=60))
+    if shape == "lattice":
+        ij = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                           min_size=n, max_size=n))
+        pts = np.array(ij, dtype=np.float64) * eps
+    else:
+        coord = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
+        pts = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
+        if shape == "row":
+            pts[:, 1] = pts[0, 1]
+        elif shape == "column":
+            pts[:, 0] = pts[0, 0]
+    n_dups = draw(st.integers(min_value=0, max_value=5))
+    pts = np.vstack([pts, pts[: min(n_dups, len(pts))]])
+    return GridIndex.build(pts, eps)
+
+
+def nine_cell_reference(g: GridIndex, ids: np.ndarray):
+    """The paper kernel's scan, cell by cell: per point its (point, A
+    position) candidates over ``neighbor_cells`` in order, and its
+    in-grid neighbour-cell count."""
+    rep, flat, values, n_cells = [], [], [], []
+    for p in ids:
+        cells = g.neighbor_cells(int(g.cell_of_point[p]))
+        n_cells.append(len(cells))
+        for h in cells:
+            members = g.cell_point_ids(int(h))
+            rep += [int(p)] * len(members)
+            flat += list(range(g.cell_min[h], g.cell_min[h] + len(members)))
+            values += members.tolist()
+    return np.array(rep, dtype=np.int64), np.array(flat, dtype=np.int64), values, n_cells
+
+
+class TestRowStencil:
+    """``row_ranges``/``eps_search`` against the nine-cell scan."""
+
+    @given(stencil_cases(), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=120, deadline=None)
+    def test_rows_match_nine_cell_scan(self, g, stride):
+        ids = np.arange(0, len(g), stride)
+        rep, flat, values, n_cells = nine_cell_reference(g, ids)
+        starts, counts, got_cells = g.row_ranges(ids)
+        got_rep, got_flat = expand_ranges(
+            np.repeat(ids, 3), starts.ravel(), starts.ravel() + counts.ravel() - 1
+        )
+        assert np.array_equal(got_rep, rep)
+        assert np.array_equal(got_flat, flat)
+        assert g.lookup[got_flat].tolist() == values
+        assert got_cells.tolist() == n_cells
+
+    @given(stencil_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_eps_search_matches_nine_cell_scan(self, g):
+        """Hits, their order and their distances (exact-ε pairs
+        included) are the paper kernel's."""
+        ids = np.arange(len(g))
+        rep, flat, values, n_cells = nine_cell_reference(g, ids)
+        p, q = g.points[rep], g.points[g.lookup[flat]]
+        d2 = (p[:, 0] - q[:, 0]) ** 2 + (p[:, 1] - q[:, 1]) ** 2
+        hit = d2 <= g.eps * g.eps
+        found = g.eps_search(ids)
+        assert np.array_equal(found.keys, rep[hit])
+        assert found.values.tolist() == np.array(values)[hit].tolist()
+        assert np.array_equal(found.d2, d2[hit])
+        assert found.n_cand == len(rep)
+        assert found.n_cells == sum(n_cells)
+
+    def test_exact_eps_pair_is_a_hit(self):
+        g = GridIndex.build(np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5]]), 0.5)
+        found = g.eps_search(np.arange(3))
+        pairs = set(zip(found.keys.tolist(), found.values.tolist(), strict=True))
+        inv = np.argsort(g.sort_order)
+        assert (int(inv[0]), int(inv[1])) in pairs
+        assert (int(inv[1]), int(inv[2])) in pairs
+
+    def test_no_points(self, uniform_points):
+        g = GridIndex.build(uniform_points, 0.4)
+        found = g.eps_search(np.empty(0, dtype=np.int64))
+        assert len(found.keys) == found.n_cand == found.n_cells == 0
 
 
 class TestRangeQuery:

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpusim import Device
+from repro.gpusim import Device, launch
 from repro.index import GridIndex
 from repro.kernels import GPUCalcGlobal, batch_point_ids
 
-from .conftest import run_global, truth_pairs
+from .conftest import run_global, run_shared, truth_pairs
 
 points_strategy = st.lists(
     st.tuples(
@@ -189,3 +189,65 @@ class TestLaunchConfigAndCounters:
         assert rec.name == "GPUCalcGlobal"
         # nGPU ≈ |D| rounded up to blocks (Table II's global-kernel row)
         assert rec.n_gpu == GPUCalcGlobal.launch_config(len(grid)).total_threads
+
+
+def key_sorted_rows(buf) -> np.ndarray:
+    """The result rows after the device's stable key sort (``sort_pairs``)."""
+    rows = buf.view()
+    return rows[np.argsort(rows[:, 0], kind="stable")]
+
+
+class TestEmissionOrder:
+    """Vector and interpreter emit each key's neighbours in the same
+    order, so the key-sorted result rows — what ``T`` is built from —
+    are identical, not just the same pair set."""
+
+    @given(
+        points_strategy,
+        st.sampled_from([0.3, 0.5, 1.0]),
+        st.integers(min_value=1, max_value=3),
+        st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_key_sorted_rows_identical(self, pts, eps, n_batches, data):
+        grid = GridIndex.build(pts, eps)
+        n = len(grid)
+        batch = data.draw(st.integers(min_value=0, max_value=n_batches - 1))
+        unit = data.draw(st.sampled_from(["strided", "contiguous", "mask"]))
+        emit_distance = data.draw(st.booleans())
+        if unit == "mask":  # a recovery sub-unit: half of a strided batch
+            ids = batch_point_ids(n, batch, n_batches)[::2]
+            vector_kw = {"n_batches": 1}
+        else:
+            ids = batch_point_ids(n, batch, n_batches, unit)
+            vector_kw = {"batch": batch, "n_batches": n_batches, "batch_order": unit}
+        mask = np.zeros(n, dtype=bool)
+        mask[ids] = True
+        if unit == "mask":
+            vector_kw["point_mask"] = mask
+
+        ncol, dtype = (3, np.float64) if emit_distance else (2, np.int64)
+        device = Device()
+        cfg = GPUCalcGlobal.launch_config(n, block_dim=16)
+        vec = device.allocate_result_buffer((max(64, n * n), ncol), dtype)
+        launch(GPUCalcGlobal(), cfg, device, grid=grid, result=vec,
+               emit_distance=emit_distance, **vector_kw)
+        interp = device.allocate_result_buffer((max(64, n * n), ncol), dtype)
+        ga = grid.device_arrays()
+        launch(
+            GPUCalcGlobal(), cfg, device, backend="interpreter",
+            D=ga["D"], A=ga["A"], G_min=ga["G_min"], G_max=ga["G_max"],
+            eps=grid.eps, xmin=grid.xmin, ymin=grid.ymin, nx=grid.nx, ny=grid.ny,
+            result=interp, emit_distance=emit_distance, point_mask=mask,
+        )
+        assert np.array_equal(key_sorted_rows(vec), key_sorted_rows(interp))
+
+    def test_shared_kernel_key_sorted_rows_identical(self, device, rng):
+        grid = GridIndex.build(rng.random((90, 2)) * 3, 0.35)
+        _, _, vec = run_shared(device, grid, block_dim=8, batch=1, n_batches=2)
+        _, _, interp = run_shared(
+            device, grid, backend="interpreter", block_dim=8, batch=1, n_batches=2
+        )
+        _, _, glob = run_global(device, grid, batch=1, n_batches=2)
+        assert np.array_equal(key_sorted_rows(vec), key_sorted_rows(interp))
+        assert np.array_equal(key_sorted_rows(vec), key_sorted_rows(glob))

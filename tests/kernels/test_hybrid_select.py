@@ -104,6 +104,19 @@ class TestCorrectness:
         assert pairs == truth_pairs(grid)
 
 
+class TestCounters:
+    def test_all_sparse_charges_like_global_kernel(self, device, blobs_points):
+        """The sparse side is GPUCalcGlobal's thread-per-point scan, so it
+        charges the same loads — including edge points, whose out-of-grid
+        neighbour cells are never read."""
+        grid = GridIndex.build(blobs_points, 0.5)
+        assert (grid.cell_of_point % grid.nx == 0).any()  # edge points exist
+        _, rh = run_hybrid_select(device, grid, dense_threshold=10**6)
+        _, rg, _ = run_global(device, grid)
+        for name in ("distance_calcs", "atomics", "global_loads", "global_stores"):
+            assert getattr(rh.counters, name) == getattr(rg.counters, name), name
+
+
 class TestAdaptiveAdvantage:
     def test_fewer_blocks_than_pure_shared_on_skewed(self, device, blobs_points):
         """On skewed data the adaptive kernel spends blocks only on the
