@@ -23,16 +23,31 @@ Kernel authors declare trusted facts via :class:`KernelInvariants`
 parameter ranges, element ranges, and lo/hi row pairings.  Arrays with no
 declared length are *assumed* in-bounds (recorded, never a finding), so the
 checker stays precise on foreign kernels while proving shipped ones.
+
+:func:`interpret_kernel` is the one analysis of a kernel's device code: it
+parses the source, builds the CFG and interprets once, and its
+:class:`AbsintResult` is what every kernelcheck pass (KC001–KC007) and the
+cost model read — the access table, the loop trip bounds, the ``ctx.shared``
+declarations, and the joined abstract value of every expression the final
+walk evaluated.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import itertools
+import textwrap
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
-from repro.analysis.cfg import CFG
+import numpy as np
+
+from repro.analysis.cfg import CFG, build_cfg
+from repro.gpusim.launch import Kernel
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.analysis.costmodel import CostContract
 
 __all__ = [
     "Lin",
@@ -43,9 +58,12 @@ __all__ = [
     "KernelInvariants",
     "AccessRecord",
     "AbsintResult",
+    "SharedDecl",
     "TripCount",
+    "interpret",
     "interpret_kernel",
     "parse_bound",
+    "parse_device_fn",
 ]
 
 #: A monomial: a sorted tuple of symbol names (repeats encode powers).
@@ -474,10 +492,6 @@ def _uniform() -> Interval:
     return Interval.const(0)
 
 
-def _is_uniform(a: Optional[Interval]) -> bool:
-    return a is not None and a.is_const() == 0
-
-
 # ---------------------------------------------------------------------------
 # Abstract values
 # ---------------------------------------------------------------------------
@@ -492,6 +506,10 @@ class AbsVal:
     array: Optional[str] = None  # global buffer parameter this aliases
     shared: Optional[str] = None  # shared buffer this aliases
     pred: Optional[ast.expr] = None  # defining boolean expression, if any
+    #: built only from ``ctx.thread_idx`` and literals (no load, no
+    #: parameter) — tells a non-affine thread-id index (``tid * tid``)
+    #: from a data gather
+    pure: bool = False
 
     @staticmethod
     def top() -> "AbsVal":
@@ -499,7 +517,17 @@ class AbsVal:
 
     @staticmethod
     def const(value: int) -> "AbsVal":
-        return AbsVal(Interval.const(value), _uniform())
+        return AbsVal(Interval.const(value), _uniform(), pure=True)
+
+    @property
+    def uniform(self) -> bool:
+        """Identical in every thread of the block."""
+        return self.stride == 0
+
+    @property
+    def stride(self) -> Optional[int]:
+        """The constant per-thread stride, if the value is affine in tid."""
+        return self.a.is_const() if self.a is not None else None
 
     def same(self, other: "AbsVal") -> bool:
         return (
@@ -507,6 +535,7 @@ class AbsVal:
             and self.a == other.a
             and self.array == other.array
             and self.shared == other.shared
+            and self.pure == other.pure
         )
 
 
@@ -521,6 +550,17 @@ def _join_val(x: AbsVal, y: AbsVal, pv: Prover) -> AbsVal:
         a=a,
         array=x.array if x.array == y.array else None,
         shared=x.shared if x.shared == y.shared else None,
+        pure=x.pure and y.pure,
+    )
+
+
+def _combine(vals: Sequence[AbsVal], rng: Interval) -> AbsVal:
+    """A non-affine value computed from ``vals``: uniform (and pure) only
+    when every input is."""
+    return AbsVal(
+        rng,
+        _uniform() if all(v.uniform for v in vals) else None,
+        pure=all(v.pure for v in vals),
     )
 
 
@@ -535,6 +575,7 @@ def _widen_val(old: AbsVal, new: AbsVal) -> AbsVal:
         a=a,
         array=old.array if old.array == new.array else None,
         shared=old.shared if old.shared == new.shared else None,
+        pure=old.pure and new.pure,
     )
 
 
@@ -621,6 +662,16 @@ def parse_bound(spec: BoundSpec) -> Optional[Lin]:
     return walk(tree.body)
 
 
+def _check_contract(inv: KernelInvariants) -> None:
+    """Parse every bound of ``inv``; raises :class:`ContractError` on the
+    first malformed one."""
+    for spec in inv.lengths.values():
+        parse_bound(spec)
+    for lo, hi in (*inv.scalars.values(), *inv.elements.values()):
+        parse_bound(lo)
+        parse_bound(hi)
+
+
 # ---------------------------------------------------------------------------
 # Access records and results
 # ---------------------------------------------------------------------------
@@ -680,18 +731,88 @@ class TripCount:
         return f"L{self.line} {self.kind}: {bound}"
 
 
+def _resolve_dtype(node: Optional[ast.expr]) -> tuple[str, Optional[int]]:
+    """Best-effort dtype name + itemsize from a dtype expression."""
+    if node is None:
+        return "?", None
+    name: Optional[str] = None
+    if isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        name = node.value
+    if name is None:
+        return ast.unparse(node), None
+    try:
+        return name, int(np.dtype(name).itemsize)
+    except TypeError:
+        return name, None
+
+
+@dataclass(frozen=True)
+class SharedDecl:
+    """One ``ctx.shared(name, shape, dtype)`` declaration site."""
+
+    name: str
+    shape: str  #: unparsed shape expression
+    dtype: str
+    itemsize: Optional[int]
+    line: int
+    #: each shape dim as an exact Lin (None = not static)
+    dims: tuple[Optional[Lin], ...]
+
+    def nbytes(self, block_dim: int) -> Optional[int]:
+        """Footprint at ``block_dim``, or None unless the itemsize is
+        known and every dim is a polynomial in ``bdim`` alone."""
+        if self.itemsize is None:
+            return None
+        n = self.itemsize
+        for d in self.dims:
+            if d is None or not d.symbols() <= {"bdim"}:
+                return None
+            n *= d.const + sum(c * block_dim ** len(m) for m, c in d.terms.items())
+        return n
+
+    def as_dict(self) -> dict[str, object]:
+        return {
+            "name": self.name,
+            "shape": self.shape,
+            "dtype": self.dtype,
+            "itemsize": self.itemsize,
+            "line": self.line,
+        }
+
+
 @dataclass
 class AbsintResult:
     """Everything the interpreter learned about one device function."""
 
+    fn: ast.FunctionDef
+    cfg: CFG
+    ctx_name: str
+    #: the function's arguments other than ``self`` and the context
+    params: tuple[str, ...]
     accesses: list[AccessRecord]
-    node_envs: dict[int, dict[str, str]]
-    symbols: dict[str, str]
     #: CFG loop-head node id -> per-execution trip-count bound
-    loop_trips: dict[int, TripCount] = field(default_factory=dict)
+    loop_trips: dict[int, TripCount]
     #: raw final symbol ranges (contract + fresh row symbols) — lets
     #: downstream passes resolve fresh symbols out of the trip bounds
-    ranges: dict[str, Interval] = field(default_factory=dict)
+    ranges: dict[str, Interval]
+    #: joined value of every expression the final walk evaluated, plus
+    #: loop-head iterables and multi-dim index tuples
+    facts: dict[ast.expr, AbsVal]
+    #: ``ctx.shared`` declarations by local variable name
+    shared: dict[str, SharedDecl]
+    #: why ``value_invariants()`` was unusable (the walk ran without it)
+    contract_error: Optional[str] = None
+    cost_contract: Optional["CostContract"] = None
+    #: why ``cost_contract()`` was unusable
+    cost_contract_error: Optional[str] = None
+
+    def fact(self, node: ast.expr) -> AbsVal:
+        """What the walk learned about ``node`` (top if never evaluated)."""
+        return self.facts.get(node, AbsVal.top())
 
     def unproved(self) -> list[AccessRecord]:
         return [a for a in self.accesses if a.status == "unproved"]
@@ -729,9 +850,10 @@ class _Interp:
         self,
         fn: ast.FunctionDef,
         invariants: Optional[KernelInvariants],
-        cfg: Optional[CFG],
+        cfg: CFG,
     ) -> None:
         self.fn = fn
+        self.cfg = cfg
         self.inv = invariants or KernelInvariants()
         argnames = [
             a.arg
@@ -749,20 +871,18 @@ class _Interp:
         self.ranges: dict[str, Interval] = {}
         self.pv = Prover(self.ranges)
         self.heap: dict[str, list[Interval]] = {}
-        self.shared_dims: dict[str, list[Optional[Lin]]] = {}
+        self.shared: dict[str, SharedDecl] = {}
         self.row_memo: dict[tuple[str, str], tuple[str, frozenset[str]]] = {}
         self.accesses: list[AccessRecord] = []
-        self.node_envs: dict[int, dict[str, str]] = {}
+        self.facts: dict[ast.expr, AbsVal] = {}
         self.loop_trips: dict[int, TripCount] = {}
         self.recording = True
         self._sym_n = 0
         self._rows_by_lo = {r.lo: r for r in self.inv.rows}
         self._rows_by_hi = {r.hi: r for r in self.inv.rows}
-        self._node_of: dict[int, int] = {}
-        if cfg is not None:
-            for node in cfg.nodes:
-                if node.stmt is not None:
-                    self._node_of[id(node.stmt)] = node.id
+        self._node_of = {
+            id(node.stmt): node.id for node in cfg.nodes if node.stmt is not None
+        }
 
     # -- setup ------------------------------------------------------------
 
@@ -783,7 +903,7 @@ class _Interp:
         bdim, gdim = Lin.sym("bdim"), Lin.sym("gdim")
         ctx = self.ctx_name
         env[f"{ctx}.thread_idx"] = AbsVal(
-            Interval(Lin.of(0), bdim - 1), Interval.const(1)
+            Interval(Lin.of(0), bdim - 1), Interval.const(1), pure=True
         )
         env[f"{ctx}.block_idx"] = AbsVal(Interval(Lin.of(0), gdim - 1), _uniform())
         env[f"{ctx}.block_dim"] = AbsVal(Interval.exact(bdim), _uniform())
@@ -808,11 +928,15 @@ class _Interp:
         env = self._init_env()
         self._exec_block(self.fn.body, env)
         return AbsintResult(
+            fn=self.fn,
+            cfg=self.cfg,
+            ctx_name=self.ctx_name,
+            params=tuple(self.params),
             accesses=self._merged_accesses(),
-            node_envs=self.node_envs,
-            symbols={s: r.render() for s, r in sorted(self.ranges.items())},
             loop_trips=self.loop_trips,
             ranges=dict(self.ranges),
+            facts=self.facts,
+            shared=self.shared,
         )
 
     def _merged_accesses(self) -> list[AccessRecord]:
@@ -898,27 +1022,27 @@ class _Interp:
             line=st.lineno, kind=kind, count=count, detail=detail
         )
 
-    def _record_node(self, stmt: ast.stmt, env: Env) -> None:
+    def _note(self, node: ast.expr, val: AbsVal) -> None:
+        """Join ``val`` into the fact for ``node`` (final walk only)."""
         if not self.recording:
             return
-        nid = self._node_of.get(id(stmt))
-        if nid is None:
-            return
-        self.node_envs[nid] = {
-            k: v.rng.render()
-            for k, v in sorted(env.items())
-            if v.rng.lo is not None or v.rng.hi is not None
-        }
+        prev = self.facts.get(node)
+        self.facts[node] = val if prev is None else _join_val(prev, val, self.pv)
 
     # -- expression evaluation --------------------------------------------
 
     def _eval(self, node: ast.expr, env: Env) -> AbsVal:
+        val = self._eval_expr(node, env)
+        self._note(node, val)
+        return val
+
+    def _eval_expr(self, node: ast.expr, env: Env) -> AbsVal:
         if isinstance(node, ast.Constant):
             if isinstance(node.value, bool):
                 return AbsVal.const(int(node.value))
             if isinstance(node.value, int):
                 return AbsVal.const(node.value)
-            return AbsVal(Interval.top(), _uniform())
+            return AbsVal(Interval.top(), _uniform(), pure=True)
         if isinstance(node, ast.Name):
             return env.get(node.id, AbsVal.top())
         if isinstance(node, ast.Attribute):
@@ -935,31 +1059,33 @@ class _Interp:
             val = self._eval(node.operand, env)
             if isinstance(node.op, ast.USub):
                 a = val.a.neg() if val.a is not None else None
-                return AbsVal(val.rng.neg(), a)
+                return AbsVal(val.rng.neg(), a, pure=val.pure)
             if isinstance(node.op, ast.UAdd):
                 return val
             if isinstance(node.op, ast.Not):
-                return AbsVal(Interval(Lin.of(0), Lin.of(1)), val.a)
+                return AbsVal(Interval(Lin.of(0), Lin.of(1)), val.a, pure=val.pure)
             return AbsVal.top()
         if isinstance(node, ast.Call):
             return self._eval_call(node, env)
-        if isinstance(node, ast.Compare):
-            vals = [self._eval(node.left, env)] + [
-                self._eval(c, env) for c in node.comparators
-            ]
-            a = _uniform() if all(_is_uniform(v.a) for v in vals) else None
-            return AbsVal(Interval(Lin.of(0), Lin.of(1)), a)
-        if isinstance(node, ast.BoolOp):
-            vals = [self._eval(v, env) for v in node.values]
-            a = _uniform() if all(_is_uniform(v.a) for v in vals) else None
-            return AbsVal(Interval(Lin.of(0), Lin.of(1)), a)
+        if isinstance(node, (ast.Compare, ast.BoolOp)):
+            operands = (
+                [node.left, *node.comparators]
+                if isinstance(node, ast.Compare)
+                else node.values
+            )
+            vals = [self._eval(o, env) for o in operands]
+            return _combine(vals, Interval(Lin.of(0), Lin.of(1)))
         if isinstance(node, ast.Subscript):
             return self._subscript(node, env, write=False, stored=None)
         if isinstance(node, ast.IfExp):
-            self._eval(node.test, env)
-            return _join_val(
+            test = self._eval(node.test, env)
+            joined = _join_val(
                 self._eval(node.body, env), self._eval(node.orelse, env), self.pv
             )
+            if test.uniform:
+                return joined
+            # threads that disagree on the test pick different arms
+            return replace(joined, a=None, pure=joined.pure and test.pure)
         if isinstance(node, (ast.Tuple, ast.List)):
             for e in node.elts:
                 self._eval(e, env)
@@ -974,41 +1100,37 @@ class _Interp:
         left = self._eval(node.left, env)
         right = self._eval(node.right, env)
         op = node.op
-        both_uniform = _is_uniform(left.a) and _is_uniform(right.a)
+        pure = left.pure and right.pure
         if isinstance(op, ast.Add):
             a = (
                 left.a.add(right.a)
                 if left.a is not None and right.a is not None
                 else None
             )
-            return AbsVal(left.rng.add(right.rng), a)
+            return AbsVal(left.rng.add(right.rng), a, pure=pure)
         if isinstance(op, ast.Sub):
             a = (
                 left.a.sub(right.a)
                 if left.a is not None and right.a is not None
                 else None
             )
-            return AbsVal(left.rng.sub(right.rng), a)
+            return AbsVal(left.rng.sub(right.rng), a, pure=pure)
         if isinstance(op, ast.Mult):
             a: Optional[Interval]
-            if _is_uniform(right.a) and left.a is not None:
+            if right.uniform and left.a is not None:
                 a = left.a.mul(right.rng, self.pv)
-            elif _is_uniform(left.a) and right.a is not None:
+            elif left.uniform and right.a is not None:
                 a = right.a.mul(left.rng, self.pv)
             else:
                 a = None
-            return AbsVal(left.rng.mul(right.rng, self.pv), a)
+            return AbsVal(left.rng.mul(right.rng, self.pv), a, pure=pure)
         if isinstance(op, ast.FloorDiv):
-            return AbsVal(
-                left.rng.floordiv(right.rng, self.pv),
-                _uniform() if both_uniform else None,
-            )
-        if isinstance(op, ast.Mod):
-            return AbsVal(
-                left.rng.mod(right.rng, self.pv),
-                _uniform() if both_uniform else None,
-            )
-        return AbsVal(Interval.top(), _uniform() if both_uniform else None)
+            rng = left.rng.floordiv(right.rng, self.pv)
+        elif isinstance(op, ast.Mod):
+            rng = left.rng.mod(right.rng, self.pv)
+        else:
+            rng = Interval.top()
+        return _combine([left, right], rng)
 
     def _eval_call(self, node: ast.Call, env: Env) -> AbsVal:
         func = node.func
@@ -1044,9 +1166,7 @@ class _Interp:
                     hi = neg_lo if self.pv.le(v.rng.hi, neg_lo) else v.rng.hi
                 else:
                     hi = None
-                return AbsVal(
-                    Interval(Lin.of(0), hi), _uniform() if _is_uniform(v.a) else None
-                )
+                return _combine([v], Interval(Lin.of(0), hi))
             if name in ("min", "max") and len(args) >= 2:
                 acc = args[0]
                 for nxt in args[1:]:
@@ -1055,20 +1175,15 @@ class _Interp:
                         if name == "min"
                         else acc.rng.max_(nxt.rng, self.pv)
                     )
-                    a = (
-                        _uniform()
-                        if _is_uniform(acc.a) and _is_uniform(nxt.a)
-                        else None
-                    )
-                    acc = AbsVal(rng, a)
+                    acc = _combine([acc, nxt], rng)
                 return acc
             if name == "len" and len(args) == 1 and isinstance(node.args[0], ast.Name):
                 target = node.args[0].id
                 val = env.get(target)
                 if val is not None and val.shared is not None:
-                    dims = self.shared_dims.get(val.shared) or [None]
-                    if dims and dims[0] is not None:
-                        return AbsVal(Interval.exact(dims[0]), _uniform())
+                    dim0 = self._shared_dims(val.shared)[0]
+                    if dim0 is not None:
+                        return AbsVal(Interval.exact(dim0), _uniform())
                     return AbsVal(Interval(Lin.of(0), None), _uniform())
                 if val is not None and val.array is not None:
                     return AbsVal(
@@ -1097,6 +1212,7 @@ class _Interp:
             return AbsVal.top()
         if isinstance(idx_node, ast.Tuple):
             idx_vals = [self._eval(e, env) for e in idx_node.elts]
+            self._note(idx_node, _combine(idx_vals, Interval.top()))
             self._check_multi(base, idx_node, idx_vals, write=write, line=node.lineno)
             lead = idx_vals[0] if idx_vals else AbsVal.top()
             return self._loaded_value(base, idx_node, lead, env, write, stored)
@@ -1119,7 +1235,7 @@ class _Interp:
                     self._heap_store(base.shared, stored.rng)
                 return AbsVal.top()
             rng = self._heap_read(base.shared)
-            return AbsVal(rng, _uniform() if _is_uniform(idx.a) else None)
+            return AbsVal(rng, _uniform() if idx.uniform else None)
         if base.array is not None and not write:
             return self._load_from_array(base.array, idx_node, idx)
         return AbsVal.top()
@@ -1127,7 +1243,7 @@ class _Interp:
     def _load_from_array(
         self, array: str, idx_node: ast.expr, idx: AbsVal
     ) -> AbsVal:
-        uniform = _is_uniform(idx.a)
+        uniform = idx.uniform
         a = _uniform() if uniform else None
         idx_text = ast.unparse(idx_node)
         row = self._rows_by_lo.get(array)
@@ -1191,9 +1307,14 @@ class _Interp:
         line: int,
     ) -> None:
         if base.shared is not None:
-            dims = self.shared_dims.get(base.shared) or [None]
             self._record(
-                base.shared, True, write, line, idx_node, idx, dims[0]
+                base.shared,
+                True,
+                write,
+                line,
+                idx_node,
+                idx,
+                self._shared_dims(base.shared)[0],
             )
         elif base.array is not None:
             bound = (
@@ -1213,7 +1334,7 @@ class _Interp:
         line: int,
     ) -> None:
         if base.shared is not None:
-            dims = self.shared_dims.get(base.shared) or []
+            dims = self._shared_dims(base.shared)
             for d, (node, val) in enumerate(zip(idx_tuple.elts, idx_vals)):
                 bound = dims[d] if d < len(dims) else None
                 self._record(base.shared, True, write, line, node, val, bound, dim=d)
@@ -1398,7 +1519,6 @@ class _Interp:
         return _Flow(cur, continues, breaks)
 
     def _exec_stmt(self, st: ast.stmt, env: Env) -> _Flow:
-        self._record_node(st, env)
         if isinstance(st, ast.Assign):
             return self._exec_assign(st, env)
         if isinstance(st, ast.AnnAssign):
@@ -1437,6 +1557,10 @@ class _Interp:
             )
         return _Flow(env)
 
+    def _shared_dims(self, var: str) -> tuple[Optional[Lin], ...]:
+        decl = self.shared.get(var)
+        return decl.dims if decl is not None else (None,)
+
     def _shared_call(self, value: ast.expr) -> Optional[ast.Call]:
         if (
             isinstance(value, ast.Call)
@@ -1454,15 +1578,28 @@ class _Interp:
             st.targets[0], ast.Name
         ):
             var = st.targets[0].id
+            args = shared_call.args
             dims: list[Optional[Lin]] = []
-            if len(shared_call.args) >= 2:
-                shape = shared_call.args[1]
+            if len(args) >= 2:
+                shape = args[1]
                 elts = shape.elts if isinstance(shape, ast.Tuple) else [shape]
                 for e in elts:
                     dims.append(self._eval(e, env).rng.is_exact())
+            dtype, itemsize = _resolve_dtype(args[2] if len(args) > 2 else None)
+            self.shared[var] = SharedDecl(
+                name=(
+                    str(args[0].value)
+                    if args and isinstance(args[0], ast.Constant)
+                    else "?"
+                ),
+                shape=ast.unparse(args[1]) if len(args) > 1 else "?",
+                dtype=dtype,
+                itemsize=itemsize,
+                line=shared_call.lineno,
+                dims=tuple(dims) or (None,),
+            )
             self._purge(var, env)
             env[var] = AbsVal(Interval.top(), None, shared=var)
-            self.shared_dims[var] = dims or [None]
             self.heap.setdefault(var, [Interval(Lin.of(0), Lin.of(0))])
             return _Flow(env)
         # tuple-to-tuple: evaluate pairwise for precision
@@ -1623,6 +1760,7 @@ class _Interp:
         values = self._literal_elts(st.iter)
         assert values is not None
         self._record_trip(st, "unrolled", Lin.of(len(values)))
+        self._note(st.iter, AbsVal(Interval.top(), _uniform(), pure=True))
         breaks: list[Env] = []
         cur: Optional[Env] = env
         for e, v in zip(st.iter.elts, values):
@@ -1678,14 +1816,11 @@ class _Interp:
                 else "range endpoint unbounded"
             )
             self._record_trip(st, "range", None, why)
-        t_a = (
-            _uniform()
-            if _is_uniform(start.a) and _is_uniform(stop.a) and _is_uniform(step.a)
-            else None
-        )
-        return self._loop_fixpoint(
-            st, env, target_val=AbsVal(t_rng, t_a), zero_trip=dict(env)
-        )
+        it = _combine([start, stop, step], Interval.top())
+        self._note(st.iter, it)
+        # a per-thread trip leaves the target no function of the thread id
+        target = AbsVal(t_rng, it.a, pure=it.pure and it.uniform)
+        return self._loop_fixpoint(st, env, target_val=target, zero_trip=dict(env))
 
     def _loop_fixpoint(
         self,
@@ -1783,20 +1918,65 @@ class _Interp:
 
 
 # ---------------------------------------------------------------------------
-# Public entry point
+# Public entry points
 # ---------------------------------------------------------------------------
 
 
-def interpret_kernel(
-    fn: ast.FunctionDef,
-    invariants: Optional[KernelInvariants] = None,
-    cfg: Optional[CFG] = None,
-) -> AbsintResult:
-    """Abstractly interpret one ``device_code`` function definition.
+def parse_device_fn(source: str) -> ast.FunctionDef:
+    """The first function definition in ``source`` (the device code)."""
+    module = ast.parse(textwrap.dedent(source))
+    return next(n for n in module.body if isinstance(n, ast.FunctionDef))
 
-    ``invariants`` carries the kernel's trusted value contracts (buffer
-    lengths, scalar ranges, element ranges, row pairings); ``cfg`` — when
-    provided — lets the interpreter record the abstract environment at
-    each statement-level CFG node (``AbsintResult.node_envs``).
+
+def _device_fn_of(kernel: Kernel) -> Optional[ast.FunctionDef]:
+    """Parse a kernel's ``device_code`` override, if it has one."""
+    if type(kernel).device_code is Kernel.device_code:
+        return None
+    return parse_device_fn(inspect.getsource(type(kernel).device_code))
+
+
+def interpret(
+    fn: ast.FunctionDef, invariants: Optional[KernelInvariants] = None
+) -> AbsintResult:
+    """Build the CFG of one device function and abstractly interpret it.
+
+    ``invariants`` carries the trusted value contracts (buffer lengths,
+    scalar ranges, element ranges, row pairings).  A contract with a
+    malformed bound is not used: the walk runs without one and
+    ``contract_error`` says why.
     """
-    return _Interp(fn, invariants, cfg).run()
+    error: Optional[str] = None
+    if invariants is not None:
+        try:
+            _check_contract(invariants)
+        except ContractError as exc:
+            invariants, error = None, str(exc)
+    result = _Interp(fn, invariants, build_cfg(fn)).run()
+    result.contract_error = error
+    return result
+
+
+def interpret_kernel(kernel: Kernel) -> Optional[AbsintResult]:
+    """The one analysis of ``kernel``'s device code (None without one).
+
+    Parses the source, builds the CFG and interprets exactly once.  A
+    ``value_invariants()`` or ``cost_contract()`` that raises
+    ``ValueError`` is recorded on the result (``contract_error`` /
+    ``cost_contract_error``), never raised.
+    """
+    fn = _device_fn_of(kernel)
+    if fn is None:
+        return None
+    invariants: Optional[KernelInvariants] = None
+    error: Optional[str] = None
+    try:
+        invariants = kernel.value_invariants()
+    except ValueError as exc:
+        error = str(exc)
+    result = interpret(fn, invariants)
+    result.contract_error = result.contract_error or error
+    try:
+        result.cost_contract = kernel.cost_contract()
+    except ValueError as exc:
+        result.cost_contract_error = str(exc)
+    return result

@@ -43,22 +43,19 @@ prediction (CI gates the ratio band).
 from __future__ import annotations
 
 import ast
-import inspect
 import math
-import textwrap
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from repro.analysis.absint import (
     AbsintResult,
     Interval,
-    KernelInvariants,
     Lin,
     Prover,
     interpret_kernel,
     parse_bound,
 )
-from repro.analysis.cfg import CFG, CFGNode, build_cfg
+from repro.analysis.cfg import CFG, CFGNode
 from repro.gpusim import constants as K
 from repro.gpusim.costmodel import CostModel, KernelCounters
 from repro.gpusim.device import DeviceSpec
@@ -523,20 +520,6 @@ class KernelCostModel:
 # ---------------------------------------------------------------------------
 
 
-def _device_fn(kernel: Kernel) -> Optional[ast.FunctionDef]:
-    if type(kernel).device_code is Kernel.device_code:
-        return None
-    source = textwrap.dedent(inspect.getsource(type(kernel).device_code))
-    module = ast.parse(source)
-    return next(n for n in module.body if isinstance(n, ast.FunctionDef))
-
-
-def _fn_params(fn: ast.FunctionDef) -> tuple[str, ...]:
-    names = [a.arg for a in fn.args.args if a.arg not in ("self", "ctx")]
-    names += [a.arg for a in fn.args.kwonlyargs]
-    return tuple(names)
-
-
 def _literal_int(node: ast.expr) -> Optional[int]:
     if isinstance(node, ast.Constant) and isinstance(node.value, int):
         return node.value
@@ -644,51 +627,45 @@ def _txn_factor(classification: str) -> int:
     return K.WARP_SIZE
 
 
-def derive_cost(kernel: Kernel) -> Optional[KernelCostModel]:
+def derive_cost(
+    kernel: Kernel, result: Optional[AbsintResult] = None
+) -> Optional[KernelCostModel]:
     """Derive the symbolic cost model for ``kernel``.
 
-    Returns ``None`` for kernels without an interpreter path (no
-    ``device_code`` override — e.g. dispatch-only kernels).
+    ``result`` is the kernel's :func:`~repro.analysis.absint.interpret_kernel`
+    analysis when the caller already holds it (kernelcheck's KC007);
+    otherwise it is computed here.  Returns ``None`` for kernels without
+    an interpreter path (no ``device_code`` override — e.g.
+    dispatch-only kernels).  An unusable ``value_invariants()`` yields
+    an unbounded model whose one issue is the contract error; an
+    unusable ``cost_contract()`` is a ``warn`` issue and the model is
+    derived without it.
     """
-    fn = _device_fn(kernel)
-    if fn is None:
+    if result is None:
+        result = interpret_kernel(kernel)
+    if result is None:
         return None
-    cfg = build_cfg(fn)
-    invariants: Optional[KernelInvariants]
-    try:
-        invariants = kernel.value_invariants()
-    except ValueError:
-        invariants = None
-    result = interpret_kernel(fn, invariants, cfg)
-    try:
-        contract = kernel.cost_contract()
-    except ValueError:
-        contract = None
-    return derive_cost_from_result(
-        kernel_name=kernel.name,
-        fn=fn,
-        cfg=cfg,
-        result=result,
-        contract=contract,
-        registers_per_thread=kernel.registers_per_thread,
-        kernel=kernel,
-    )
-
-
-def derive_cost_from_result(
-    *,
-    kernel_name: str,
-    fn: ast.FunctionDef,
-    cfg: CFG,
-    result: AbsintResult,
-    contract: Optional[CostContract],
-    registers_per_thread: int = 32,
-    kernel: Optional[Kernel] = None,
-) -> KernelCostModel:
-    """Build the cost model from an existing interpretation (kernelcheck
-    reuses its KC005 run instead of interpreting twice)."""
+    contract = result.cost_contract
+    if result.contract_error is not None:
+        message = f"unusable value_invariants() contract: {result.contract_error}"
+        return KernelCostModel(
+            kernel_name=kernel.name,
+            params=result.params,
+            loops={},
+            sites=(),
+            per_thread=dict.fromkeys(COST_COUNTERS),
+            warp_transactions={"global": None, "shared": None},
+            issues=[CostIssue("error", 0, message)],
+            contract=contract,
+            registers_per_thread=kernel.registers_per_thread,
+            kernel=kernel,
+        )
+    cfg = result.cfg
     pv = Prover(dict(result.ranges))
     issues: list[CostIssue] = []
+    if result.cost_contract_error is not None:
+        message = f"unusable cost_contract(): {result.cost_contract_error}"
+        issues.append(CostIssue("warn", 0, message))
     trips = dict(contract.trip_estimates) if contract else {}
 
     # -- loops -------------------------------------------------------------
@@ -723,13 +700,7 @@ def derive_cost_from_result(
             )
 
     # -- counter sites -----------------------------------------------------
-    arg_names = [a.arg for a in fn.args.args]
-    ctx_name = "ctx"
-    for cand in arg_names[:2]:
-        if cand != "self":
-            ctx_name = cand
-            break
-    sites, site_issues = _collect_sites(cfg, ctx_name)
+    sites, site_issues = _collect_sites(cfg, result.ctx_name)
     issues.extend(site_issues)
 
     # -- per-thread worst-case polynomials --------------------------------
@@ -813,14 +784,14 @@ def derive_cost_from_result(
                 )
 
     return KernelCostModel(
-        kernel_name=kernel_name,
-        params=_fn_params(fn),
+        kernel_name=kernel.name,
+        params=result.params,
         loops=loops,
         sites=tuple(sites),
         per_thread=per_thread,
         warp_transactions=warp_txn,
         issues=issues,
         contract=contract,
-        registers_per_thread=registers_per_thread,
+        registers_per_thread=kernel.registers_per_thread,
         kernel=kernel,
     )

@@ -3,13 +3,17 @@
 The runtime gpusanitizer (:mod:`repro.gpusim.sanitizer`) can only judge
 schedules that actually execute; this module verifies the kernel
 invariants **over all paths, before any launch**, by analyzing the
-``device_code`` generator of each :class:`~repro.gpusim.launch.Kernel`
-(AST → CFG via :mod:`repro.analysis.cfg` → dataflow).  Six passes:
+``device_code`` generator of each :class:`~repro.gpusim.launch.Kernel`.
+Every device-code pass reads one analysis per kernel:
+:func:`repro.analysis.absint.interpret_kernel` parses the source, builds
+the CFG (:mod:`repro.analysis.cfg`) and abstractly interprets it once.
+Whether a value is the same in every thread, and its stride in the
+thread id, is the interpreter's tid-stride fact.  Seven passes:
 
 ``KC001`` — barrier divergence
     A ``yield ctx.syncthreads()`` that is control-dependent on a
-    *thread-dependent* condition (dataflow taint from
-    ``ctx.thread_idx`` / ``ctx.global_id`` through assignments) without
+    *thread-dependent* condition (a test whose value is not uniform
+    across the block) without
     a matching barrier on the sibling path, a barrier inside a loop
     whose trip count is thread-dependent, or a thread-dependent early
     ``return`` that skips a downstream barrier.  All are the UB class
@@ -34,8 +38,8 @@ invariants **over all paths, before any launch**, by analyzing the
     gather-bounded / gather-unbounded in the report's access table.
 
 ``KC004`` — static resources / occupancy
-    Shared bytes are extracted from the ``ctx.shared`` shapes as a
-    function of ``block_dim`` and cross-checked against the kernel's
+    Shared bytes are the interpreter's ``ctx.shared`` shapes evaluated
+    at each ``block_dim`` and cross-checked against the kernel's
     declared ``shared_mem_per_block``; the declared footprint plus the
     register estimate feed :func:`repro.gpusim.occupancy.occupancy` to
     predict occupancy per ``(block_dim, DeviceSpec)`` — the exact
@@ -59,10 +63,15 @@ invariants **over all paths, before any launch**, by analyzing the
     (:func:`repro.analysis.cfg.compute_liveness`) gives max-live-across-
     program-points of the kernel's locals, with loop-carried values
     weighted double (they stay resident across whole iterations).  The
-    estimate replaces the old locals+params count proxy and is checked
-    against the kernel's declared ``registers_per_thread``; declaring
-    fewer registers than the estimate is a warning because the
-    occupancy table would be optimistic.
+    estimate is checked against the kernel's declared
+    ``registers_per_thread``; declaring fewer registers than the
+    estimate is a warning because the occupancy table would be
+    optimistic.
+
+``KC007`` — symbolic cost model
+    :func:`repro.analysis.costmodel.derive_cost` over the same analysis;
+    an unbounded loop is an error, a ``cost_contract()`` declaring less
+    than the derived worst case (or one that is unusable) a warning.
 
 ``analyze_shipped()`` runs all passes over the registered kernel set
 (:func:`repro.kernels.shipped_kernels`); the CLI front end is
@@ -72,24 +81,22 @@ invariants **over all paths, before any launch**, by analyzing the
 from __future__ import annotations
 
 import ast
-import inspect
 import json
 import sys
-import textwrap
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, TypeGuard
-
-import numpy as np
+from typing import Iterable, Optional, Sequence
 
 from repro.analysis.absint import (
     AbsintResult,
-    AccessRecord,
-    ContractError,
+    AbsVal,
     KernelInvariants,
+    SharedDecl,
+    interpret,
     interpret_kernel,
+    parse_device_fn,
 )
-from repro.analysis.cfg import CFG, CFGNode, build_cfg, compute_liveness
-from repro.analysis.costmodel import KernelCostModel, derive_cost_from_result
+from repro.analysis.cfg import CFG, CFGNode, compute_liveness
+from repro.analysis.costmodel import derive_cost
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.launch import Kernel
 from repro.gpusim.occupancy import OccupancyLimits, occupancy
@@ -104,7 +111,6 @@ __all__ = [
     "analyze_shipped",
     "default_block_dims",
     "static_occupancy_table",
-    "ties_dense_hint",
     "main",
 ]
 
@@ -174,26 +180,6 @@ class OccupancyEntry:
         }
 
 
-@dataclass(frozen=True)
-class SharedDecl:
-    """One ``ctx.shared(name, shape, dtype)`` declaration site."""
-
-    name: str
-    shape: str  #: unparsed shape expression
-    dtype: str
-    itemsize: Optional[int]
-    line: int
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "shape": self.shape,
-            "dtype": self.dtype,
-            "itemsize": self.itemsize,
-            "line": self.line,
-        }
-
-
 @dataclass
 class KernelReport:
     """Full static-analysis result for one kernel."""
@@ -202,7 +188,6 @@ class KernelReport:
     has_device_code: bool
     barriers: int
     registers_per_thread: int
-    register_proxy: Optional[int]
     shared_decls: list[SharedDecl]
     static_shared_bytes: dict[int, Optional[int]]
     declared_shared_bytes: dict[int, int]
@@ -229,7 +214,6 @@ class KernelReport:
             "has_device_code": self.has_device_code,
             "barriers": self.barriers,
             "registers_per_thread": self.registers_per_thread,
-            "register_proxy": self.register_proxy,
             "shared_decls": [d.as_dict() for d in self.shared_decls],
             "static_shared_bytes": {
                 str(k): v for k, v in self.static_shared_bytes.items()
@@ -249,377 +233,6 @@ class KernelReport:
 
 
 # ======================================================================
-# thread-dependence ("taint") dataflow values
-# ======================================================================
-@dataclass(frozen=True)
-class Val:
-    """Abstract value of an expression for one thread.
-
-    ``tid`` is the coefficient of the thread id if the value is affine
-    in it with a compile-time-constant coefficient (``None`` = unknown
-    or non-affine); ``uniform`` means identical across all threads of a
-    block; ``pure`` means built only from the thread id and literals;
-    ``const`` is a known compile-time integer value.
-    """
-
-    tid: Optional[int]
-    uniform: bool
-    pure: bool
-    const: Optional[int] = None
-
-    @staticmethod
-    def constant(k: Optional[int] = None) -> "Val":
-        return Val(0, True, True, k)
-
-    @staticmethod
-    def uniform_sym() -> "Val":
-        return Val(0, True, False, None)
-
-    @staticmethod
-    def thread_id() -> "Val":
-        return Val(1, False, True, None)
-
-    @staticmethod
-    def data() -> "Val":
-        return Val(None, False, False, None)
-
-    def join(self, other: "Val") -> "Val":
-        return Val(
-            self.tid if self.tid == other.tid else None,
-            self.uniform and other.uniform,
-            self.pure and other.pure,
-            self.const if self.const == other.const else None,
-        )
-
-
-def _join_all(vals: Iterable[Val]) -> Val:
-    out = Val.constant()
-    for v in vals:
-        out = Val(
-            0 if (out.tid == 0 and v.tid == 0) else None,
-            out.uniform and v.uniform,
-            out.pure and v.pure,
-            None,
-        )
-    return out
-
-
-#: ``ctx`` attributes that are uniform within a block
-_CTX_UNIFORM = {"block_idx", "block_dim", "grid_dim"}
-#: ``ctx`` attributes carrying the thread id
-_CTX_THREAD = {"thread_idx", "global_id"}
-#: builtins that preserve the numeric value (and so its affinity)
-_VALUE_PRESERVING = {"int", "float"}
-#: builtins that are uniform-preserving but destroy affinity
-_UNIFORMISH_CALLS = {"min", "max", "abs", "round", "len", "range", "bool"}
-
-
-class _DeviceFn:
-    """Parsed device code plus its dataflow environment."""
-
-    def __init__(self, fn: ast.FunctionDef):
-        self.fn = fn
-        arg_names = [a.arg for a in (*fn.args.posonlyargs, *fn.args.args)]
-        kw_names = [a.arg for a in fn.args.kwonlyargs]
-        self.ctx_name = "ctx" if "ctx" in arg_names + kw_names else (
-            arg_names[1] if len(arg_names) > 1 else (arg_names[0] if arg_names else "ctx")
-        )
-        self.params = {
-            n for n in (*arg_names, *kw_names) if n not in ("self", self.ctx_name)
-        }
-        self.env: dict[str, Val] = {}
-        self.shared: dict[str, SharedDecl] = {}  # local var name -> decl
-        self.shared_shapes: dict[str, ast.expr] = {}  # var name -> shape expr
-        self.blockdim_aliases: set[str] = set()
-        self.assigned: set[str] = set()
-        self.cfg: CFG = build_cfg(fn)
-        self._fixpoint()
-
-    # -- environment construction --------------------------------------
-    def _fixpoint(self) -> None:
-        for _ in range(10):
-            before = dict(self.env)
-            self._walk_body(self.fn.body)
-            if self.env == before:
-                break
-
-    def _walk_body(self, stmts: Sequence[ast.stmt]) -> None:
-        for s in stmts:
-            self._walk_stmt(s)
-
-    def _walk_stmt(self, s: ast.stmt) -> None:
-        if isinstance(s, ast.Assign):
-            self._assign(s.targets, s.value)
-        elif isinstance(s, ast.AnnAssign):
-            if s.value is not None:
-                self._assign([s.target], s.value)
-        elif isinstance(s, ast.AugAssign):
-            if isinstance(s.target, ast.Name):
-                combined = Val(None, False, False, None)
-                old = self.env.get(s.target.id)
-                v = self.eval(s.value)
-                if old is not None:
-                    combined = Val(
-                        None
-                        if old.tid is None or v.tid is None
-                        else old.tid + v.tid
-                        if isinstance(s.op, ast.Add)
-                        else None,
-                        old.uniform and v.uniform,
-                        old.pure and v.pure,
-                        None,
-                    )
-                self._bind(s.target.id, combined)
-        elif isinstance(s, ast.For):
-            it = self.eval(s.iter)
-            v = (
-                Val(0, True, it.pure, None)
-                if it.uniform
-                else Val.data()
-            )
-            for t in self._target_names(s.target):
-                self._bind(t, v)
-            self._walk_body(s.body)
-            self._walk_body(s.orelse)
-        elif isinstance(s, ast.While):
-            self._walk_body(s.body)
-            self._walk_body(s.orelse)
-        elif isinstance(s, ast.If):
-            self._walk_body(s.body)
-            self._walk_body(s.orelse)
-        elif isinstance(s, ast.With):
-            self._walk_body(s.body)
-        elif isinstance(s, ast.Try):
-            self._walk_body(s.body)
-            for h in s.handlers:
-                self._walk_body(h.body)
-            self._walk_body(s.orelse)
-            self._walk_body(s.finalbody)
-
-    @staticmethod
-    def _target_names(target: ast.expr) -> list[str]:
-        if isinstance(target, ast.Name):
-            return [target.id]
-        if isinstance(target, (ast.Tuple, ast.List)):
-            out: list[str] = []
-            for e in target.elts:
-                out.extend(_DeviceFn._target_names(e))
-            return out
-        return []
-
-    def _bind(self, name: str, v: Val) -> None:
-        self.assigned.add(name)
-        old = self.env.get(name)
-        self.env[name] = v if old is None else old.join(v)
-
-    def _assign(self, targets: list[ast.expr], value: ast.expr) -> None:
-        # ctx.shared(...) produces a block-shared buffer handle
-        if self._is_ctx_call(value, "shared") and len(targets) == 1:
-            t = targets[0]
-            if isinstance(t, ast.Name):
-                decl = self._shared_decl(value)
-                self.shared[t.id] = decl
-                self.shared_shapes[t.id] = (
-                    value.args[1] if len(value.args) > 1 else ast.Constant(0)
-                )
-                self._bind(t.id, Val.uniform_sym())
-            return
-        # track aliases of ctx.block_dim for shape evaluation
-        if (
-            len(targets) == 1
-            and isinstance(targets[0], ast.Name)
-            and isinstance(value, ast.Attribute)
-            and isinstance(value.value, ast.Name)
-            and value.value.id == self.ctx_name
-            and value.attr == "block_dim"
-        ):
-            self.blockdim_aliases.add(targets[0].id)
-        for t in targets:
-            if isinstance(t, (ast.Tuple, ast.List)) and isinstance(
-                value, (ast.Tuple, ast.List)
-            ) and len(t.elts) == len(value.elts):
-                for te, ve in zip(t.elts, value.elts, strict=True):
-                    self._assign([te], ve)
-            else:
-                v = self.eval(value)
-                for n in self._target_names(t):
-                    self._bind(n, v)
-
-    def _is_ctx_call(self, node: ast.expr, attr: str) -> TypeGuard[ast.Call]:
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == attr
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == self.ctx_name
-        )
-
-    def _shared_decl(self, call: ast.Call) -> SharedDecl:
-        name = "?"
-        if call.args and isinstance(call.args[0], ast.Constant):
-            name = str(call.args[0].value)
-        shape = ast.unparse(call.args[1]) if len(call.args) > 1 else "?"
-        dtype_expr = call.args[2] if len(call.args) > 2 else None
-        dtype_name, itemsize = _resolve_dtype(dtype_expr)
-        return SharedDecl(
-            name=name,
-            shape=shape,
-            dtype=dtype_name,
-            itemsize=itemsize,
-            line=call.lineno,
-        )
-
-    # -- expression evaluation -----------------------------------------
-    def eval(self, node: Optional[ast.expr]) -> Val:
-        if node is None:
-            return Val.constant()
-        if isinstance(node, ast.Constant):
-            k = node.value if isinstance(node.value, (int, bool)) else None
-            return Val.constant(int(k) if k is not None else None)
-        if isinstance(node, ast.Name):
-            if node.id == self.ctx_name:
-                return Val.uniform_sym()
-            if node.id in self.env:
-                return self.env[node.id]
-            if node.id in self.params:
-                return Val.uniform_sym()  # launch args are per-grid
-            return Val.uniform_sym()  # builtins / module globals
-        if isinstance(node, ast.Attribute):
-            if isinstance(node.value, ast.Name) and node.value.id == self.ctx_name:
-                if node.attr in _CTX_THREAD:
-                    # global_id mixes in uniform block terms → not pure
-                    pure = node.attr == "thread_idx"
-                    return Val(1, False, pure, None)
-                if node.attr in _CTX_UNIFORM:
-                    return Val.uniform_sym()
-                return Val.uniform_sym()
-            base = self.eval(node.value)
-            return Val(0 if base.uniform else None, base.uniform, False, None)
-        if isinstance(node, ast.Subscript):
-            idx = self.eval(node.slice)
-            if idx.uniform:
-                return Val.uniform_sym()
-            return Val.data()
-        if isinstance(node, ast.BinOp):
-            return self._binop(node)
-        if isinstance(node, ast.UnaryOp):
-            v = self.eval(node.operand)
-            if isinstance(node.op, ast.USub):
-                return Val(
-                    -v.tid if v.tid is not None else None,
-                    v.uniform,
-                    v.pure,
-                    -v.const if v.const is not None else None,
-                )
-            if isinstance(node.op, ast.Not):
-                return Val(0 if v.uniform else None, v.uniform, v.pure, None)
-            return Val(v.tid, v.uniform, v.pure, None)
-        if isinstance(node, (ast.Compare, ast.BoolOp)):
-            ops = (
-                [node.left, *node.comparators]
-                if isinstance(node, ast.Compare)
-                else node.values
-            )
-            return _join_all(self.eval(o) for o in ops)
-        if isinstance(node, ast.Call):
-            return self._call(node)
-        if isinstance(node, ast.IfExp):
-            joined = self.eval(node.body).join(self.eval(node.orelse))
-            test = self.eval(node.test)
-            if not test.uniform:
-                return Val(None, False, joined.pure and test.pure, None)
-            return joined
-        if isinstance(node, (ast.Tuple, ast.List)):
-            return _join_all(self.eval(e) for e in node.elts)
-        if isinstance(node, ast.Starred):
-            return self.eval(node.value)
-        return Val.data()
-
-    def _binop(self, node: ast.BinOp) -> Val:
-        a, b = self.eval(node.left), self.eval(node.right)
-        uniform = a.uniform and b.uniform
-        pure = a.pure and b.pure
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            sign = 1 if isinstance(node.op, ast.Add) else -1
-            tid = (
-                a.tid + sign * b.tid
-                if a.tid is not None and b.tid is not None
-                else None
-            )
-            const = (
-                a.const + sign * b.const
-                if a.const is not None and b.const is not None
-                else None
-            )
-            return Val(tid, uniform, pure, const)
-        if isinstance(node.op, ast.Mult):
-            if a.const is not None and b.tid is not None:
-                return Val(
-                    a.const * b.tid,
-                    uniform,
-                    pure,
-                    a.const * b.const if b.const is not None else None,
-                )
-            if b.const is not None and a.tid is not None:
-                return Val(
-                    b.const * a.tid,
-                    uniform,
-                    pure,
-                    b.const * a.const if a.const is not None else None,
-                )
-            if uniform:
-                return Val(0, True, pure, None)
-            return Val(None, False, pure, None)
-        # div / floordiv / mod / pow / shifts: non-affine in the thread id
-        if uniform:
-            return Val(0, True, pure, None)
-        return Val(None, False, pure, None)
-
-    def _call(self, node: ast.Call) -> Val:
-        fname = None
-        if isinstance(node.func, ast.Name):
-            fname = node.func.id
-        elif isinstance(node.func, ast.Attribute):
-            fname = node.func.attr
-        args = [self.eval(a) for a in node.args]
-        if fname in _VALUE_PRESERVING and len(args) == 1:
-            return args[0]
-        if fname in _UNIFORMISH_CALLS:
-            uniform = all(a.uniform for a in args)
-            return Val(
-                0 if uniform else None,
-                uniform,
-                all(a.pure for a in args),
-                None,
-            )
-        if self._is_ctx_call(node, "shared") or fname == "syncthreads":
-            return Val.uniform_sym()
-        if fname in ("atomic_add", "result_append"):
-            return Val.data()
-        uniform = all(a.uniform for a in args)
-        return Val(0 if uniform else None, uniform, False, None)
-
-
-def _resolve_dtype(node: Optional[ast.expr]) -> tuple[str, Optional[int]]:
-    """Best-effort dtype name + itemsize from a dtype expression."""
-    if node is None:
-        return "?", None
-    name: Optional[str] = None
-    if isinstance(node, ast.Attribute):
-        name = node.attr
-    elif isinstance(node, ast.Name):
-        name = node.id
-    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-        name = node.value
-    if name is None:
-        return ast.unparse(node), None
-    try:
-        return name, int(np.dtype(name).itemsize)
-    except TypeError:
-        return name, None
-
-
-# ======================================================================
 # access extraction
 # ======================================================================
 @dataclass(frozen=True)
@@ -630,7 +243,7 @@ class _Access:
     write: bool
     idx_dump: str
     idx_text: str
-    idx: Val
+    idx: AbsVal
     guard: Optional[str]  #: dump of a single-thread pin (``tid == 0``), if any
     line: int
 
@@ -658,31 +271,33 @@ def _node_exprs(node: CFGNode) -> list[ast.expr]:
     return []
 
 
-def _single_thread_guard(df: _DeviceFn, node: CFGNode) -> Optional[str]:
+def _single_thread_guard(res: AbsintResult, node: CFGNode) -> Optional[str]:
     """Dump of an enclosing ``tid == <uniform>`` pin, if one exists."""
     for frame in node.stack:
         if frame.kind != "if":
             continue
-        test = df.cfg.node(frame.node_id).test
+        test = res.cfg.node(frame.node_id).test
         if not isinstance(test, ast.Compare) or len(test.ops) != 1:
             continue
         if not isinstance(test.ops[0], ast.Eq):
             continue
-        left, right = df.eval(test.left), df.eval(test.comparators[0])
-        if (left.tid == 1 and right.uniform) or (right.tid == 1 and left.uniform):
+        left, right = res.fact(test.left), res.fact(test.comparators[0])
+        if (left.stride == 1 and right.uniform) or (
+            right.stride == 1 and left.uniform
+        ):
             return ast.dump(test)
     return None
 
 
-def _extract_accesses(df: _DeviceFn) -> list[_Access]:
+def _extract_accesses(res: AbsintResult) -> list[_Access]:
     accesses: list[_Access] = []
     aug_targets: set[int] = set()
-    for node in df.cfg.statements():
+    for node in res.cfg.statements():
         if isinstance(node.stmt, ast.AugAssign) and isinstance(
             node.stmt.target, ast.Subscript
         ):
             aug_targets.add(id(node.stmt.target))
-        guard = _single_thread_guard(df, node)
+        guard = _single_thread_guard(res, node)
         for expr in _node_exprs(node):
             for sub in ast.walk(expr):
                 if not isinstance(sub, ast.Subscript):
@@ -690,11 +305,11 @@ def _extract_accesses(df: _DeviceFn) -> list[_Access]:
                 if not isinstance(sub.value, ast.Name):
                     continue
                 base = sub.value.id
-                is_shared = base in df.shared
-                if not is_shared and base not in df.params:
+                is_shared = base in res.shared
+                if not is_shared and base not in res.params:
                     continue
-                buffer = df.shared[base].name if is_shared else base
-                idx = df.eval(sub.slice)
+                buffer = res.shared[base].name if is_shared else base
+                idx = res.fact(sub.slice)
                 writes = [isinstance(sub.ctx, ast.Store)]
                 if id(sub) in aug_targets:
                     writes = [True, False]  # read-modify-write
@@ -718,9 +333,9 @@ def _extract_accesses(df: _DeviceFn) -> list[_Access]:
 # ======================================================================
 # passes KC001–KC003 (device-code passes)
 # ======================================================================
-def _pass_kc001(df: _DeviceFn, kernel_name: str) -> list[Finding]:
+def _pass_kc001(res: AbsintResult, kernel_name: str) -> list[Finding]:
     findings: list[Finding] = []
-    cfg = df.cfg
+    cfg = res.cfg
     barriers = cfg.barriers()
     seen_loops: set[int] = set()
     seen_branches: set[int] = set()
@@ -738,8 +353,7 @@ def _pass_kc001(df: _DeviceFn, kernel_name: str) -> list[Finding]:
     for b in barriers:
         for frame in b.stack:
             ctrl = cfg.node(frame.node_id)
-            tainted = not df.eval(ctrl.test).uniform
-            if not tainted:
+            if ctrl.test is None or res.fact(ctrl.test).uniform:
                 continue
             if frame.kind == "loop" and frame.node_id not in seen_loops:
                 seen_loops.add(frame.node_id)
@@ -782,7 +396,7 @@ def _pass_kc001(df: _DeviceFn, kernel_name: str) -> list[Finding]:
             if frame.kind != "if":
                 continue
             branch = cfg.node(frame.node_id)
-            if df.eval(branch.test).uniform:
+            if branch.test is None or res.fact(branch.test).uniform:
                 continue
             divergent = [
                 b
@@ -825,13 +439,13 @@ def _reachable(cfg: CFG, src: int) -> set[int]:
     return seen
 
 
-def _pass_kc002(df: _DeviceFn, kernel_name: str) -> list[Finding]:
+def _pass_kc002(res: AbsintResult, kernel_name: str) -> list[Finding]:
     findings: list[Finding] = []
-    accesses = [a for a in _extract_accesses(df) if a.shared]
+    accesses = [a for a in _extract_accesses(res) if a.shared]
     if not accesses:
         return findings
     reach = {
-        nid: df.cfg.reachable_without_barrier(nid)
+        nid: res.cfg.reachable_without_barrier(nid)
         for nid in {a.node_id for a in accesses}
     }
     reported: set[tuple] = set()
@@ -860,11 +474,8 @@ def _pass_kc002(df: _DeviceFn, kernel_name: str) -> list[Finding]:
             return False  # both pinned to the same single thread
         if a.idx_dump == b.idx_dump and not a.idx.uniform:
             return False  # each thread touches its own slot in both
-        if (
-            a.idx.const is not None
-            and b.idx.const is not None
-            and a.idx.const != b.idx.const
-        ):
+        a_slot, b_slot = a.idx.rng.is_const(), b.idx.rng.is_const()
+        if a_slot is not None and b_slot is not None and a_slot != b_slot:
             return False  # provably disjoint constant slots
         if a.idx_dump == b.idx_dump and a.idx.uniform and a.guard == b.guard:
             # same uniform slot: racy unless single-thread (handled above)
@@ -894,10 +505,10 @@ def _pass_kc002(df: _DeviceFn, kernel_name: str) -> list[Finding]:
     return findings
 
 
-def _pass_kc003(df: _DeviceFn, kernel_name: str) -> list[Finding]:
+def _pass_kc003(res: AbsintResult, kernel_name: str) -> list[Finding]:
     findings: list[Finding] = []
     seen: set[tuple] = set()
-    for a in _extract_accesses(df):
+    for a in _extract_accesses(res):
         if a.shared:
             continue
         key = (a.buffer, a.idx_dump, a.write)
@@ -905,7 +516,8 @@ def _pass_kc003(df: _DeviceFn, kernel_name: str) -> list[Finding]:
             continue
         seen.add(key)
         kind = "store to" if a.write else "load from"
-        if a.idx.tid is not None and abs(a.idx.tid) > 1:
+        stride = a.idx.stride
+        if stride is not None and abs(stride) > 1:
             findings.append(
                 Finding(
                     "KC003",
@@ -914,11 +526,11 @@ def _pass_kc003(df: _DeviceFn, kernel_name: str) -> list[Finding]:
                     a.line,
                     f"uncoalesced {kind} global buffer "
                     f"'{a.buffer}[{a.idx_text}]': affine in the thread id "
-                    f"with stride {a.idx.tid} (warp touches "
-                    f"{abs(a.idx.tid)}x the cache lines)",
+                    f"with stride {stride} (warp touches "
+                    f"{abs(stride)}x the cache lines)",
                 )
             )
-        elif a.idx.tid is None and a.idx.pure and not a.idx.uniform:
+        elif stride is None and a.idx.pure and not a.idx.uniform:
             findings.append(
                 Finding(
                     "KC003",
@@ -936,35 +548,25 @@ def _pass_kc003(df: _DeviceFn, kernel_name: str) -> list[Finding]:
 # ======================================================================
 # KC005: abstract-interpretation bounds proofs
 # ======================================================================
-def _pass_kc005(
-    df: _DeviceFn,
-    kernel_name: str,
-    invariants: Optional[KernelInvariants],
-) -> tuple[list[Finding], list[AccessRecord], Optional[AbsintResult]]:
-    """Run the abstract interpreter; unproved accesses become findings.
+def _pass_kc005(res: AbsintResult, kernel_name: str) -> list[Finding]:
+    """Unproved accesses become findings; so does an unusable contract.
 
     Shared-buffer accesses are always checked against their declared
     shapes.  Global accesses are only *provable* when the kernel ships a
     ``value_invariants()`` contract; without one they are recorded as
     ``assumed`` and never fire.
     """
-    try:
-        result = interpret_kernel(df.fn, invariants, df.cfg)
-    except ContractError as exc:
-        return (
-            [
-                Finding(
-                    "KC005",
-                    "error",
-                    kernel_name,
-                    0,
-                    f"unusable value_invariants() contract: {exc}",
-                )
-            ],
-            [],
-            None,
-        )
-    findings = [
+    if res.contract_error is not None:
+        return [
+            Finding(
+                "KC005",
+                "error",
+                kernel_name,
+                0,
+                f"unusable value_invariants() contract: {res.contract_error}",
+            )
+        ]
+    return [
         Finding(
             "KC005",
             "error",
@@ -975,15 +577,24 @@ def _pass_kc005(
             f"'{a.buffer}[{a.index}]' in bounds: {a.detail} "
             f"(index interval {a.interval})",
         )
-        for a in result.unproved()
+        for a in res.unproved()
     ]
-    return findings, result.accesses, result
+
+
+def _device_passes(res: AbsintResult, kernel_name: str) -> list[Finding]:
+    """KC001–KC003 and KC005: everything read off one interpretation."""
+    return (
+        _pass_kc001(res, kernel_name)
+        + _pass_kc002(res, kernel_name)
+        + _pass_kc003(res, kernel_name)
+        + _pass_kc005(res, kernel_name)
+    )
 
 
 # ======================================================================
 # KC006: liveness-based register estimate
 # ======================================================================
-def _register_estimate(df: _DeviceFn) -> int:
+def _register_estimate(res: AbsintResult) -> int:
     """Weighted max-live register estimate over the statement CFG.
 
     Counts only kernel *locals* — launch parameters live in constant
@@ -992,19 +603,19 @@ def _register_estimate(df: _DeviceFn) -> int:
     register.  Loop-carried values (live across a back edge and
     redefined in the loop) weigh double: they must stay resident across
     a whole iteration, exactly the values a real compiler cannot
-    rematerialize.  The +4 matches the old proxy's fixed overhead
-    (address/predicate scratch).
+    rematerialize.  The +4 is a fixed overhead for address/predicate
+    scratch.
     """
-    lv = compute_liveness(df.cfg)
+    lv = compute_liveness(res.cfg)
     locals_: set[str] = set()
     for d in lv.defs.values():
         locals_ |= d
-    locals_ -= set(df.params)
-    locals_ -= set(df.shared)
-    locals_.discard(df.ctx_name)
+    locals_ -= set(res.params)
+    locals_ -= set(res.shared)
+    locals_.discard(res.ctx_name)
     locals_.discard("self")
     best = 0
-    for n in df.cfg.nodes:
+    for n in res.cfg.nodes:
         live = (lv.live_in[n.id] | lv.defs[n.id]) & locals_
         best = max(
             best, sum(2 if v in lv.loop_carried else 1 for v in live)
@@ -1013,9 +624,9 @@ def _register_estimate(df: _DeviceFn) -> int:
 
 
 def _pass_kc006(
-    df: _DeviceFn, kernel_name: str, declared_registers: int
+    res: AbsintResult, kernel_name: str, declared_registers: int
 ) -> tuple[list[Finding], int]:
-    estimate = _register_estimate(df)
+    estimate = _register_estimate(res)
     findings: list[Finding] = []
     if estimate > declared_registers:
         findings.append(
@@ -1023,7 +634,7 @@ def _pass_kc006(
                 "KC006",
                 "warn",
                 kernel_name,
-                df.fn.body[0].lineno if df.fn.body else 0,
+                res.fn.body[0].lineno if res.fn.body else 0,
                 f"live-range register estimate {estimate} exceeds the "
                 f"declared registers_per_thread={declared_registers}; "
                 f"the occupancy table is optimistic",
@@ -1033,117 +644,8 @@ def _pass_kc006(
 
 
 # ======================================================================
-# KC007: symbolic static cost model
+# KC004: occupancy
 # ======================================================================
-def _pass_kc007(
-    df: _DeviceFn, kernel: Kernel, result: Optional[AbsintResult]
-) -> tuple[list[Finding], Optional[KernelCostModel]]:
-    """Derive the symbolic cost model and lift its issues into findings.
-
-    Unbounded loops (no trip bound and no contract estimate) are
-    ``error``; a ``cost_contract()`` that declares a counter bound below
-    the derived worst case — a lying contract — is ``warn``.  Skipped
-    when KC005 already rejected the value contract (no interpretation
-    to cost).
-    """
-    if result is None:
-        return [], None
-    try:
-        contract = kernel.cost_contract()
-    except ValueError as exc:
-        return (
-            [
-                Finding(
-                    "KC007",
-                    "warn",
-                    kernel.name,
-                    0,
-                    f"unusable cost_contract(): {exc}",
-                )
-            ],
-            None,
-        )
-    cost = derive_cost_from_result(
-        kernel_name=kernel.name,
-        fn=df.fn,
-        cfg=df.cfg,
-        result=result,
-        contract=contract,
-        registers_per_thread=kernel.registers_per_thread,
-        kernel=kernel,
-    )
-    findings = [
-        Finding("KC007", issue.severity, kernel.name, issue.line, issue.message)
-        for issue in cost.issues
-    ]
-    return findings, cost
-
-
-# ======================================================================
-# KC004: static shared bytes + occupancy
-# ======================================================================
-def _eval_static_int(
-    node: ast.expr, df: Optional[_DeviceFn], block_dim: int
-) -> Optional[int]:
-    """Numeric value of a shape term with ``block_dim`` bound."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, int):
-        return int(node.value)
-    if isinstance(node, ast.Name):
-        if df is not None and node.id in df.blockdim_aliases:
-            return block_dim
-        return None
-    if isinstance(node, ast.Attribute):
-        if (
-            df is not None
-            and isinstance(node.value, ast.Name)
-            and node.value.id == df.ctx_name
-            and node.attr == "block_dim"
-        ):
-            return block_dim
-        return None
-    if isinstance(node, ast.BinOp):
-        a = _eval_static_int(node.left, df, block_dim)
-        b = _eval_static_int(node.right, df, block_dim)
-        if a is None or b is None:
-            return None
-        if isinstance(node.op, ast.Add):
-            return a + b
-        if isinstance(node.op, ast.Sub):
-            return a - b
-        if isinstance(node.op, ast.Mult):
-            return a * b
-        if isinstance(node.op, ast.FloorDiv) and b != 0:
-            return a // b
-        return None
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        v = _eval_static_int(node.operand, df, block_dim)
-        return -v if v is not None else None
-    return None
-
-
-def _static_shared_bytes(df: _DeviceFn, block_dim: int) -> Optional[int]:
-    """Total ``ctx.shared`` footprint at ``block_dim``, or None if any
-    declaration's shape cannot be evaluated statically."""
-    total = 0
-    for var, decl in df.shared.items():
-        if decl.itemsize is None:
-            return None
-        shape_expr = df.shared_shapes[var]
-        dims = (
-            list(shape_expr.elts)
-            if isinstance(shape_expr, (ast.Tuple, ast.List))
-            else [shape_expr]
-        )
-        n = 1
-        for d in dims:
-            v = _eval_static_int(d, df, block_dim)
-            if v is None:
-                return None
-            n *= v
-        total += n * decl.itemsize
-    return total
-
-
 def _occupancy_entry(
     kernel: Kernel, block_dim: int, spec: DeviceSpec
 ) -> tuple[OccupancyEntry, Optional[Finding]]:
@@ -1190,58 +692,49 @@ def _occupancy_entry(
 # ======================================================================
 # kernel-level entry points
 # ======================================================================
-def _device_fn_of(kernel: Kernel) -> Optional[_DeviceFn]:
-    """Parse a kernel's ``device_code`` override, if it has one."""
-    if type(kernel).device_code is Kernel.device_code:
-        return None
-    source = textwrap.dedent(inspect.getsource(type(kernel).device_code))
-    module = ast.parse(source)
-    fn = next(n for n in module.body if isinstance(n, ast.FunctionDef))
-    return _DeviceFn(fn)
-
-
-def _register_proxy(df: _DeviceFn) -> int:
-    """Crude per-thread register-pressure proxy: locals + arguments
-    plus a fixed overhead, as a real compiler would spill around."""
-    return 4 + len(df.assigned) + len(df.params)
-
-
 def analyze_kernel(
     kernel: Kernel,
     *,
     block_dims: Sequence[int] = DEFAULT_BLOCK_DIMS,
     specs: Optional[Sequence[DeviceSpec]] = None,
 ) -> KernelReport:
-    """Run all four kernelcheck passes over one kernel."""
+    """Run every kernelcheck pass over one kernel.
+
+    The device-code passes (KC001–KC007) all read one
+    :func:`~repro.analysis.absint.interpret_kernel` analysis.
+    """
     specs = list(specs) if specs is not None else [DeviceSpec()]
-    df = _device_fn_of(kernel)
+    res = interpret_kernel(kernel)
     findings: list[Finding] = []
     declared = {bd: kernel.shared_mem_per_block(bd) for bd in block_dims}
     static: dict[int, Optional[int]] = dict.fromkeys(block_dims)
     shared_decls: list[SharedDecl] = []
     barriers = 0
-    proxy: Optional[int] = None
     estimate: Optional[int] = None
-    accesses: list[AccessRecord] = []
-    cost: Optional[KernelCostModel] = None
+    accesses: list[dict] = []
+    cost: Optional[dict] = None
 
-    if df is not None:
-        barriers = len(df.cfg.barriers())
-        shared_decls = list(df.shared.values())
-        proxy = _register_proxy(df)
-        findings += _pass_kc001(df, kernel.name)
-        findings += _pass_kc002(df, kernel.name)
-        findings += _pass_kc003(df, kernel.name)
-        kc5, accesses, absres = _pass_kc005(
-            df, kernel.name, kernel.value_invariants()
-        )
-        findings += kc5
-        kc6, estimate = _pass_kc006(df, kernel.name, kernel.registers_per_thread)
+    if res is not None:
+        barriers = len(res.cfg.barriers())
+        shared_decls = list(res.shared.values())
+        findings += _device_passes(res, kernel.name)
+        kc6, estimate = _pass_kc006(res, kernel.name, kernel.registers_per_thread)
         findings += kc6
-        kc7, cost = _pass_kc007(df, kernel, absres)
-        findings += kc7
+        # KC007 — skipped when KC005 already rejected the value contract
+        if res.contract_error is None:
+            accesses = [a.to_dict() for a in res.accesses]
+            model = derive_cost(kernel, res)
+            assert model is not None
+            findings += [
+                Finding("KC007", i.severity, kernel.name, i.line, i.message)
+                for i in model.issues
+            ]
+            cost = model.to_dict()
         for bd in block_dims:
-            extracted = _static_shared_bytes(df, bd)
+            sizes = [decl.nbytes(bd) for decl in shared_decls]
+            extracted = (
+                None if None in sizes else sum(n for n in sizes if n is not None)
+            )
             static[bd] = extracted
             if extracted is not None and extracted > declared[bd]:
                 findings.append(
@@ -1268,18 +761,17 @@ def analyze_kernel(
 
     return KernelReport(
         kernel=kernel.name,
-        has_device_code=df is not None,
+        has_device_code=res is not None,
         barriers=barriers,
         registers_per_thread=kernel.registers_per_thread,
-        register_proxy=proxy,
         shared_decls=shared_decls,
         static_shared_bytes=static,
         declared_shared_bytes=declared,
         occupancy=entries,
         findings=findings,
         register_estimate=estimate,
-        accesses=[a.to_dict() for a in accesses],
-        cost=cost.to_dict() if cost is not None else None,
+        accesses=accesses,
+        cost=cost,
     )
 
 
@@ -1299,17 +791,10 @@ def analyze_device_source(
     against.  Used by the seeded-violation corpus and the
     no-false-positive property tests.
     """
-    module = ast.parse(textwrap.dedent(source))
-    fn = next(n for n in module.body if isinstance(n, ast.FunctionDef))
-    df = _DeviceFn(fn)
-    findings = (
-        _pass_kc001(df, kernel_name)
-        + _pass_kc002(df, kernel_name)
-        + _pass_kc003(df, kernel_name)
-        + _pass_kc005(df, kernel_name, invariants)[0]
-    )
+    res = interpret(parse_device_fn(source), invariants)
+    findings = _device_passes(res, kernel_name)
     if declared_registers is not None:
-        findings += _pass_kc006(df, kernel_name, declared_registers)[0]
+        findings += _pass_kc006(res, kernel_name, declared_registers)[0]
     return findings
 
 
@@ -1327,9 +812,6 @@ def analyze_shipped(
     ]
 
 
-# ======================================================================
-# static occupancy table → hybrid_select tie-break hint
-# ======================================================================
 def static_occupancy_table(
     kernel: Kernel,
     *,
@@ -1339,34 +821,6 @@ def static_occupancy_table(
     """Predicted occupancy per block_dim for one kernel on one spec."""
     spec = spec or DeviceSpec()
     return {bd: _occupancy_entry(kernel, bd, spec)[0] for bd in block_dims}
-
-
-def ties_dense_hint(
-    *,
-    block_dims: Sequence[int] = (32, 64, 128, 256, 512, 1024),
-    spec: Optional[DeviceSpec] = None,
-) -> dict[int, bool]:
-    """Tie-break hint for :class:`~repro.kernels.HybridSelectKernel`.
-
-    For each block_dim: ``True`` when the shared-memory path's static
-    occupancy is at least the global path's, so cells sitting exactly
-    on the density threshold are worth a shared-memory block; ``False``
-    sends tie cells to the global path, whose occupancy the shared
-    footprint would not depress.
-    """
-    from repro.kernels import GPUCalcGlobal, GPUCalcShared
-
-    shared_table = static_occupancy_table(
-        GPUCalcShared(), block_dims=block_dims, spec=spec
-    )
-    global_table = static_occupancy_table(
-        GPUCalcGlobal(), block_dims=block_dims, spec=spec
-    )
-    return {
-        bd: shared_table[bd].feasible
-        and shared_table[bd].fraction >= global_table[bd].fraction
-        for bd in block_dims
-    }
 
 
 # ======================================================================

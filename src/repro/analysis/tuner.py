@@ -268,6 +268,7 @@ def prune_configs(
     safety: float = 3.0,
     top_k: Optional[int] = None,
     mode: str = "estimate",
+    models: Optional[Mapping[str, KernelCostModel]] = None,
 ) -> PruneResult:
     """Rank the configuration lattice by predicted cost and prune it.
 
@@ -275,12 +276,14 @@ def prune_configs(
     prediction (÷ ``safety``) still exceeds the best configuration's
     pessimistic prediction (× ``safety``); a measured search need not
     visit it.  Infeasible configurations (occupancy rejects the
-    launch) are always eliminated.
+    launch) are always eliminated.  ``models`` maps ``"global"`` /
+    ``"shared"`` to already-derived cost models (derived here if
+    omitted).
     """
     if safety < 1.0:
         raise ValueError("safety must be >= 1")
     spec = spec or DeviceSpec()
-    models = _cost_models()
+    models = models or _cost_models()
     entries: list[tuple[TunerConfig, float]] = []
     for kernel in kernels:
         for bd in block_dims:
@@ -330,9 +333,8 @@ def cost_tie_break_hint(
     on a threshold-marginal workload is at most the global path's —
     then cells sitting exactly on the density threshold are worth a
     shared-memory block.  Infeasible shared launches are ``False``.
-    Unlike the pure occupancy comparison
-    (:func:`repro.analysis.kernelcheck.ties_dense_hint`) this weighs
-    occupancy *and* the barrier/block overheads the shared path pays.
+    The comparison weighs occupancy *and* the barrier/block overheads
+    the shared path pays.
     """
     spec = spec or DeviceSpec()
     stats = stats or NOMINAL_STATS

@@ -670,7 +670,10 @@ def _cmd_analyze_cost(args) -> int:
     from repro.kernels import shipped_kernels
 
     models = [m for k in shipped_kernels() if (m := derive_cost(k)) is not None]
-    prune = prune_configs(NOMINAL_STATS, top_k=args.top_k)
+    by_name = {m.kernel_name: m for m in models}
+    # the tuner prices the two ε-search kernels: reuse their derivations
+    tuned = {"global": by_name["GPUCalcGlobal"], "shared": by_name["GPUCalcShared"]}
+    prune = prune_configs(NOMINAL_STATS, top_k=args.top_k, models=tuned)
     if args.format == "json":
         print(json.dumps(
             {

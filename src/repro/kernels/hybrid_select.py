@@ -44,8 +44,8 @@ def partition_cells(
     the dense/shared side (``counts >= threshold``), ``False`` to the
     sparse/global side (``counts > threshold``).  The tie direction is
     a pure scheduling choice — either partition yields the identical
-    result set — which is why it can be driven by a static occupancy
-    hint (see :func:`repro.analysis.kernelcheck.ties_dense_hint`).
+    result set — which is why it can be driven by a static cost hint
+    (see :func:`repro.analysis.tuner.cost_tie_break_hint`).
     """
     if dense_threshold < 1:
         raise ValueError("dense_threshold must be >= 1")
@@ -71,9 +71,9 @@ class HybridSelectKernel(Kernel):
         #: cells with at least this many points go to the shared path;
         #: None derives block_dim // 4 at launch time
         self.dense_threshold = dense_threshold
-        #: static-occupancy tie-break table (block_dim -> ties go dense),
-        #: produced by ``repro.analysis.kernelcheck.ties_dense_hint``;
-        #: None keeps the legacy ties-dense behaviour
+        #: static tie-break table (block_dim -> ties go dense), produced
+        #: by ``repro.analysis.tuner.cost_tie_break_hint``; None keeps
+        #: the legacy ties-dense behaviour
         self.occupancy_hint = occupancy_hint
 
     @classmethod

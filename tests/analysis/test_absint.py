@@ -29,7 +29,7 @@ from repro.analysis.absint import (
 )
 from repro.analysis.kernelcheck import analyze_device_source, analyze_kernel
 from repro.gpusim import Device, launch
-from repro.gpusim.launch import LaunchConfig
+from repro.gpusim.launch import Kernel, LaunchConfig
 from tests.analysis.badkernels import (
     OobNegativeGatherKernel,
     OobOffByOneKernel,
@@ -245,6 +245,30 @@ class TestInterpretSource:
         findings = kc005(analyze_device_source(self.GUARDED, "g", invariants=inv))
         assert len(findings) == 1
         assert "contract" in findings[0].message
+
+
+class SelectIndexKernel(Kernel):
+    """Two conditional-expression indices: one picks its arm per thread,
+    one per launch."""
+
+    name = "SelectIndex"
+
+    def device_code(self, ctx, *, out, n):
+        tid = ctx.thread_idx
+        out[3 if tid < 4 else 5] = 1
+        out[3 if n < 4 else 5] = 2
+
+
+class TestConditionalExpression:
+    def test_thread_dependent_test_drops_the_stride(self):
+        """``A if tid < 4 else B`` differs across the threads of a warp
+        even when both arms are constants: it must not classify as a
+        uniform (broadcast) access.  A launch-uniform test keeps the
+        joined arms' stride."""
+        per_thread, per_launch = analyze_kernel(SelectIndexKernel()).accesses
+        assert per_thread["index"] == "3 if tid < 4 else 5"
+        assert per_thread["classification"] == "gather-bounded"
+        assert per_launch["classification"] == "uniform"
 
 
 # ======================================================================

@@ -27,15 +27,15 @@ from hypothesis import strategies as st
 
 from repro.analysis.costmodel import (
     COST_COUNTERS,
-    CostContract,
     UnboundedCostError,
     derive_cost,
     eval_expr,
     eval_lin,
 )
-from repro.analysis.absint import Lin
+from repro.analysis.absint import KernelInvariants, Lin
 from repro.gpusim import Device, launch
 from repro.gpusim.device import DeviceSpec
+from repro.gpusim.launch import Kernel
 from repro.index import GridIndex
 from repro.kernels import (
     BorderAttachKernel,
@@ -43,11 +43,44 @@ from repro.kernels import (
     CoreFlagKernel,
     GPUCalcGlobal,
     GPUCalcShared,
+    HybridSelectKernel,
     NeighborCountKernel,
     shipped_kernels,
 )
 from repro.kernels.count_kernel import sample_point_ids
 from repro.core.batching import build_neighbor_table
+from tests.analysis.regolden import COST_GOLDEN, cost_reports
+
+class MalformedValueContractKernel(Kernel):
+    """A ``value_invariants()`` length that does not parse."""
+
+    name = "MalformedValueContract"
+
+    def value_invariants(self):
+        return KernelInvariants(lengths={"out": "n +"}, scalars={"n": (1, None)})
+
+    def device_code(self, ctx, *, out, n):
+        gid = ctx.global_id
+        if gid >= n:
+            return
+        out[gid] = gid
+
+
+class RaisingCostContractKernel(Kernel):
+    """A ``cost_contract()`` that raises instead of declaring."""
+
+    name = "RaisingCostContract"
+
+    def cost_contract(self):
+        raise ValueError("no contract today")
+
+    def device_code(self, ctx, *, out, n):
+        gid = ctx.global_id
+        if gid >= n:
+            return
+        ctx.count_global_store(1)
+        out[gid] = gid
+
 
 #: calibration band the estimate-mode prediction must land in (measured
 #: ratios sit at 1.01–1.30 across the matrix below; the band leaves
@@ -257,12 +290,43 @@ class TestShippedBounded:
     def test_every_shipped_kernel_bounded(self):
         for kernel in shipped_kernels():
             model = derive_cost(kernel)
-            if model is None:  # vector-only kernels have no device code
-                assert kernel._device_fn() is None if hasattr(kernel, "_device_fn") else True
+            if model is None:
                 continue
             assert model.bounded, kernel.name
             assert not model.issues, (kernel.name, model.issues)
             assert not model.unbounded_loops()
+
+    def test_no_model_exactly_without_device_code(self):
+        """``derive_cost`` is ``None`` exactly for the kernels that do not
+        override ``device_code`` (the dispatch-only HybridSelect)."""
+        for kernel in shipped_kernels():
+            has_code = type(kernel).device_code is not Kernel.device_code
+            assert (derive_cost(kernel) is not None) == has_code, kernel.name
+        assert derive_cost(HybridSelectKernel()) is None
+
+    def test_analyze_cost_interprets_each_kernel_once(self, monkeypatch, capsys):
+        """``repro analyze cost`` hands its derivations to the tuner
+        instead of interpreting the ε-search kernels a second time."""
+        from repro.analysis import absint
+        from repro.cli import main
+
+        runs = []
+        run = absint._Interp.run
+        monkeypatch.setattr(
+            absint._Interp, "run", lambda self: runs.append(1) or run(self)
+        )
+        assert main(["analyze", "cost", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert len(runs) == sum(
+            type(k).device_code is not Kernel.device_code for k in shipped_kernels()
+        )
+
+    def test_cost_reports_match_golden(self):
+        """Every shipped kernel's cost report, pinned on disk.  On an
+        intentional analyzer/kernel change, regenerate with
+        ``python -m tests.analysis.regolden``."""
+        want = json.loads(COST_GOLDEN.read_text(encoding="utf-8"))
+        assert cost_reports() == want
 
     def test_required_symbols_are_bindable(self):
         """No fresh (interpreter-invented) symbols leak into the binding
@@ -302,6 +366,43 @@ class TestDefects:
         # the derived truth, not the lying declaration, is what resolves
         per = model.counters_per_thread({"n": 8, "bdim": 4, "gdim": 2}, mode="bound")
         assert per["global_loads"] >= 2
+
+    def test_malformed_value_contract_is_an_unbounded_model(self):
+        model = derive_cost(MalformedValueContractKernel())
+        assert model is not None and not model.bounded
+        assert [(i.severity, i.line) for i in model.issues] == [("error", 0)]
+        assert "unusable value_invariants() contract" in model.issues[0].message
+
+    def test_raising_cost_contract_is_an_issue(self):
+        model = derive_cost(RaisingCostContractKernel())
+        assert model is not None and model.bounded
+        assert model.contract is None
+        assert [(i.severity, i.message) for i in model.issues] == [
+            ("warn", "unusable cost_contract(): no contract today")
+        ]
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [MalformedValueContractKernel(), RaisingCostContractKernel()],
+        ids=lambda k: k.name,
+    )
+    def test_analyze_cost_gate_names_the_kernel(self, kernel, monkeypatch, capsys):
+        """``repro analyze cost`` fails on either contract error without a
+        traceback: an unbounded model exits 1, a contract issue lands in
+        the JSON ``issues`` the CI zero-issues gate reads."""
+        import repro.kernels
+        from repro.cli import main
+
+        shipped = shipped_kernels()
+        monkeypatch.setattr(
+            repro.kernels, "shipped_kernels", lambda: [*shipped, kernel]
+        )
+        rc = main(["analyze", "cost", "--format", "json"])
+        report = json.loads(capsys.readouterr().out)["kernels"]
+        (model,) = [m for m in report if m["kernel"] == kernel.name]
+        assert model["issues"]
+        assert rc == (0 if model["bounded"] else 1)
+        assert rc == int(isinstance(kernel, MalformedValueContractKernel))
 
     def test_honest_contracts_prove(self):
         """Every shipped contract's declared counter bounds are provable
