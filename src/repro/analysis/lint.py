@@ -48,8 +48,9 @@ keep the simulation honest.  Three rules:
 ``GS006`` — device loop bounds are contracted
     A ``for ... in range(...)`` inside ``device_code`` whose bound
     names a kernel parameter the class's ``value_invariants()`` does
-    not cover leaves the abstract interpreter no way to bound the trip
-    count — the KC007 cost pass will report the kernel unbounded.
+    not cover leaves the trip count symbolic in a parameter that no
+    contract gives a range — the KC007 cost model stays bounded in that
+    symbol, but nothing says how large its worst case can get.
     Constant bounds and ``ctx.*`` geometry are exempt, as are classes
     whose ``value_invariants()`` body is a ``raise`` stub (abstract
     bases declare no contract on purpose).
@@ -444,10 +445,9 @@ class _Linter(ast.NodeVisitor):
                         sub,
                         f"device loop bound uses parameter(s) "
                         f"{', '.join(repr(u) for u in uncovered)} not "
-                        f"covered by value_invariants(); without a "
-                        f"contract the abstract interpreter cannot bound "
-                        f"the trip count (KC007 reports the kernel "
-                        f"unbounded)",
+                        f"covered by value_invariants(); KC007 keeps the "
+                        f"trip count symbolic in a parameter that no "
+                        f"contract gives a range",
                     )
 
     # -- GS004 ----------------------------------------------------------

@@ -192,25 +192,18 @@ class HybridDBSCAN:
     # phase 4: clustering from T
     # ------------------------------------------------------------------
     def cluster_table(
-        self,
-        grid: GridIndex,
-        table: NeighborTable,
-        minpts: int,
-        *,
-        where: Optional[Literal["host", "device"]] = None,
+        self, grid: GridIndex, table: NeighborTable, minpts: int
     ) -> np.ndarray:
         """Run the modified DBSCAN over ``T``; labels in original order.
 
-        ``where`` overrides the instance's ``cluster_on`` for this call:
-        ``"host"`` runs :func:`~repro.core.table_dbscan.dbscan_from_table`
-        on the CPU, ``"device"`` runs the union-find label kernels on
-        this instance's simulated device.  Both produce bit-identical
-        labels.
+        ``cluster_on="host"`` runs
+        :func:`~repro.core.table_dbscan.dbscan_from_table` on the CPU,
+        ``"device"`` runs the union-find label kernels on this
+        instance's simulated device.  Both produce bit-identical labels.
         """
-        where = self.cluster_on if where is None else where
-        if where == "host":
+        if self.cluster_on == "host":
             labels_sorted = dbscan_from_table(table, minpts)
-        elif where == "device":
+        else:
             from repro.core.device_cluster import dbscan_from_table_device
 
             labels_sorted = dbscan_from_table_device(
@@ -220,8 +213,6 @@ class HybridDBSCAN:
                 backend=self.backend,
                 block_dim=self.block_dim,
             )
-        else:
-            raise ValueError(f"unknown cluster_table target {where!r}")
         labels = np.empty_like(labels_sorted)
         labels[grid.sort_order] = labels_sorted
         return labels

@@ -11,8 +11,8 @@ Every scheduler that picks "the earliest-free worker" books onto the one
 :class:`WorkerPool` (the serving layer's virtual clock too);
 :func:`schedule_devices` pins tasks to devices instead and needs none.
 
-``mode="threads"`` remains available on the S2/S3 entry points for hosts
-with real cores.
+This is the only S2/S3 execution path: the batching layer's stream
+workers are the only real host threads the clustering runs.
 """
 
 from repro.hostsim.multidevice import DeviceSchedule, schedule_devices

@@ -87,9 +87,6 @@ class ServeConfig:
     cache_hit_cost_ms: float = 0.05
     #: virtual host-clustering rate for table hits (pairs per ms)
     cluster_rate_pairs_per_ms: float = 50_000.0
-    kernel: str = "global"
-    backend: str = "vector"
-    cluster_on: str = "host"
     seed: int = 0
     #: sanitizer toggle for per-attempt devices (None = GPUSAN env)
     sanitize: Optional[bool] = None
@@ -533,7 +530,7 @@ class ClusteringService:
         elapsed_ms: float, attempts: int = 0, backoff_ms: float = 0.0,
     ) -> _Outcome:
         device = self._make_device(injector=None)
-        hybrid = self._make_hybrid(device)
+        hybrid = HybridDBSCAN(device)
         try:
             labels, _n_sampled = sampled_labels(
                 ds.points, request.eps, request.minpts, fraction, hybrid=hybrid
@@ -600,7 +597,7 @@ class ClusteringService:
                 else None
             )
             device = self._make_device(injector=injector)
-            hybrid = self._make_hybrid(device)
+            hybrid = HybridDBSCAN(device)
             attempts += 1
             try:
                 grid, table, _timings = hybrid.build_table(ds.points, eps)
@@ -727,14 +724,6 @@ class ClusteringService:
             faults=injector,
             sanitize=self.config.sanitize,
             sanitize_mode="record",
-        )
-
-    def _make_hybrid(self, device: Device) -> HybridDBSCAN:
-        return HybridDBSCAN(
-            device,
-            kernel=self.config.kernel,  # type: ignore[arg-type]
-            backend=self.config.backend,  # type: ignore[arg-type]
-            cluster_on=self.config.cluster_on,  # type: ignore[arg-type]
         )
 
     def _close_device(self, device: Device) -> None:

@@ -1,11 +1,15 @@
 """Tests for the repo-invariant AST lint (GS001–GS006)."""
 
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.analysis.absint import KernelInvariants
+from repro.analysis.costmodel import derive_cost
 from repro.analysis.lint import lint_source, main, run_lint
+from repro.gpusim.launch import Kernel
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -230,6 +234,19 @@ class TestGS005HostOnlyAPI:
         assert lint_source(src, "kernels/x.py") == []
 
 
+class UncontractedStepsKernel(Kernel):
+    """Loops ``range(steps)`` over a parameter no contract covers."""
+
+    name = "UncontractedSteps"
+
+    def value_invariants(self):
+        return KernelInvariants(lengths={"out": "n"}, scalars={"n": (1, None)})
+
+    def device_code(self, ctx, *, out, n, steps):
+        for i in range(steps):
+            ctx.count_global_load(1)
+
+
 class TestGS006UncontractedLoopBound:
     KERNEL_TMPL = (
         "class K:\n"
@@ -248,6 +265,21 @@ class TestGS006UncontractedLoopBound:
         findings = lint_source(src, "kernels/x.py")
         assert rules(findings) == ["GS006"]
         assert "'steps'" in findings[0].message
+
+    def test_message_matches_what_kc007_derives(self):
+        """GS006 says the bound stays symbolic in ``steps``; KC007's cost
+        model is indeed bounded, with ``steps`` as the loop bound."""
+        findings = lint_source(
+            inspect.getsource(UncontractedStepsKernel), "kernels/x.py"
+        )
+        assert rules(findings) == ["GS006"]
+        assert "symbolic" in findings[0].message
+        assert "unbounded" not in findings[0].message
+        model = derive_cost(UncontractedStepsKernel())
+        assert model.bounded
+        [loop] = model.loops.values()
+        assert loop.bound.render() == "steps"
+        assert "steps" in model.required_symbols()
 
     def test_contracted_parameter_ok(self):
         assert lint_source(self.KERNEL_TMPL.format(bound="n"), "kernels/x.py") == []

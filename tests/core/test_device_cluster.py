@@ -173,26 +173,15 @@ class TestHybridWiring:
         # the cluster launches add to the modeled device time
         assert res.timings.device_ms > ref.timings.device_ms
 
-    def test_cluster_table_where_override(self, blobs_points):
-        h = HybridDBSCAN()  # host default
-        grid, table, _ = h.build_table(blobs_points, 0.5)
-        on_host = h.cluster_table(grid, table, 5)
-        on_dev = h.cluster_table(grid, table, 5, where="device")
-        assert np.array_equal(on_host, on_dev)
-
     def test_device_cluster_launches_recorded(self, blobs_points):
         h = HybridDBSCAN(cluster_on="device")
         h.fit(blobs_points, 0.5, 5)
         names = {k.name for k in h.device.profiler.kernels}
         assert {"CoreFlag", "ClusterUnionFind", "BorderAttach"} <= names
 
-    def test_unknown_cluster_on_rejected(self, blobs_points):
+    def test_unknown_cluster_on_rejected(self):
         with pytest.raises(ValueError):
             HybridDBSCAN(cluster_on="fpga")
-        h = HybridDBSCAN()
-        grid, table, _ = h.build_table(blobs_points, 0.5)
-        with pytest.raises(ValueError):
-            h.cluster_table(grid, table, 5, where="fpga")
 
 
 # ======================================================================

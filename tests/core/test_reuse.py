@@ -18,13 +18,13 @@ class TestCorrectness:
             assert same_clustering(outcome.labels, fit.labels)
 
     def test_threaded_matches_serial(self, blobs_points):
+        """``n_threads`` only changes the modeled makespan, not labels."""
         minpts_values = [2, 3, 4, 6, 8, 12]
         serial = cluster_with_reuse(
             blobs_points, 0.5, minpts_values, n_threads=1, keep_labels=True
         )
         threaded = cluster_with_reuse(
-            blobs_points, 0.5, minpts_values, n_threads=4, keep_labels=True,
-            mode="threads",
+            blobs_points, 0.5, minpts_values, n_threads=4, keep_labels=True
         )
         for a, b in zip(serial.outcomes, threaded.outcomes, strict=True):
             assert a.minpts == b.minpts
@@ -67,59 +67,19 @@ class TestValidation:
 
 
 class TestThreadsModeFailureCapture:
-    """A poisoned variant must not take down the surviving threads'
-    results (mode="threads"); simulate mode stays strict."""
+    """A raising variant propagates out of ``cluster_with_reuse``."""
 
-    def _poisoned_hybrid(self, monkeypatch, bad_minpts):
+    def test_simulate_mode_stays_strict(self, monkeypatch, blobs_points):
         h = HybridDBSCAN()
         orig = h.cluster_table
 
-        def cluster_table(grid, table, minpts, **kw):
-            if minpts == bad_minpts:
+        def cluster_table(grid, table, minpts):
+            if minpts == 4:
                 raise RuntimeError(f"poisoned minpts={minpts}")
-            return orig(grid, table, minpts, **kw)
+            return orig(grid, table, minpts)
 
         monkeypatch.setattr(h, "cluster_table", cluster_table)
-        return h
-
-    def test_survivors_returned_with_typed_error(
-        self, monkeypatch, blobs_points
-    ):
-        from repro.core import ReuseVariantError
-
-        h = self._poisoned_hybrid(monkeypatch, bad_minpts=4)
-        res = cluster_with_reuse(
-            blobs_points, 0.5, [2, 4, 8], n_threads=3, mode="threads",
-            keep_labels=True, hybrid=h,
-        )
-        assert res.failed_minpts == [4]
-        by_minpts = {o.minpts: o for o in res.outcomes}
-        bad = by_minpts[4]
-        assert not bad.ok
-        assert isinstance(bad.error, ReuseVariantError)
-        assert bad.error.minpts == 4
-        assert isinstance(bad.error.cause, RuntimeError)
-        assert bad.labels is None and bad.n_clusters == 0
-        # survivors match independent fits
-        for m in (2, 8):
-            assert by_minpts[m].ok
-            fit = HybridDBSCAN().fit(blobs_points, 0.5, m)
-            np.testing.assert_array_equal(by_minpts[m].labels, fit.labels)
-
-    def test_single_thread_threads_mode_also_captures(
-        self, monkeypatch, blobs_points
-    ):
-        h = self._poisoned_hybrid(monkeypatch, bad_minpts=2)
-        res = cluster_with_reuse(
-            blobs_points, 0.5, [2, 4], n_threads=1, mode="threads", hybrid=h
-        )
-        assert res.failed_minpts == [2]
-        assert res.outcomes[1].ok
-
-    def test_simulate_mode_stays_strict(self, monkeypatch, blobs_points):
-        h = self._poisoned_hybrid(monkeypatch, bad_minpts=4)
         with pytest.raises(RuntimeError, match="poisoned"):
             cluster_with_reuse(
-                blobs_points, 0.5, [2, 4, 8], n_threads=3, mode="simulate",
-                hybrid=h,
+                blobs_points, 0.5, [2, 4, 8], n_threads=3, hybrid=h
             )

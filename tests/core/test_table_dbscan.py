@@ -80,6 +80,110 @@ ADVERSARIAL = {
     "all_noise": _all_noise,
 }
 
+#: dyadic lattice step and ε values: every coordinate and squared
+#: distance is exact in float64, so ε ties stay ties on every path
+_STEP = 0.25
+_ADVERSARIAL_KINDS = (
+    "duplicates", "collinear", "exact_eps", "single_point", "all_noise",
+    "minpts_one",
+)
+
+
+@st.composite
+def adversarial_cases(draw):
+    """``(points, eps, minpts)`` of one degenerate kind, on a lattice."""
+    kind = draw(st.sampled_from(_ADVERSARIAL_KINDS))
+    eps = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    minpts = draw(st.integers(min_value=1, max_value=5))
+    cells = st.tuples(
+        st.integers(min_value=0, max_value=24),
+        st.integers(min_value=0, max_value=24),
+    )
+    if kind == "single_point":
+        pts = np.array([draw(cells)], dtype=np.float64) * _STEP
+    elif kind == "all_noise":
+        # distinct cells spaced 3ε apart: no point has a neighbor
+        ij = draw(st.lists(cells, min_size=1, max_size=30, unique=True))
+        pts = np.array(ij, dtype=np.float64) * 3 * eps
+        minpts = draw(st.integers(min_value=2, max_value=5))
+    elif kind == "duplicates":
+        ij = draw(st.lists(cells, min_size=1, max_size=15))
+        reps = draw(st.integers(min_value=2, max_value=4))
+        pts = np.repeat(np.array(ij, dtype=np.float64) * _STEP, reps, axis=0)
+    elif kind == "collinear":
+        dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (3, 4)]))
+        ks = draw(st.lists(st.integers(0, 40), min_size=2, max_size=40))
+        k = np.array(ks, dtype=np.float64)
+        pts = np.column_stack([k * dx, k * dy]) * _STEP
+    elif kind == "exact_eps":
+        # chains along x and y with neighbors exactly ε apart
+        n = draw(st.integers(min_value=2, max_value=12))
+        x0, y0 = draw(cells)
+        k = np.arange(n, dtype=np.float64) * eps
+        pts = np.vstack([
+            np.column_stack([x0 * _STEP + k, np.full(n, y0 * _STEP)]),
+            np.column_stack([np.full(n, x0 * _STEP), y0 * _STEP + k + eps]),
+        ])
+    else:  # minpts_one
+        ij = draw(st.lists(cells, min_size=1, max_size=40))
+        pts = np.array(ij, dtype=np.float64) * _STEP
+        minpts = 1
+    return pts, eps, minpts
+
+
+def _assert_all_paths_agree(pts, eps, minpts):
+    """The primitive, the expand oracle, the device path, ``fit``, the
+    sharded executor (locality at 1, 2 and 4 devices, round-robin at 2
+    and 4, and with an injected shard OOM), an exact service answer,
+    both S2 pipeline runs, S3 reuse and the multi-ε sweep all produce
+    the same labels."""
+    grid, table = build_table(pts, eps)
+    a = dbscan_from_table_expand(table, minpts)
+    b = dbscan_from_table(table, minpts)
+    c = dbscan_from_table_device(table, minpts)
+    assert np.array_equal(a, b)
+    assert np.array_equal(b, c)
+    want = np.empty_like(b)
+    want[grid.sort_order] = b
+    assert np.array_equal(HybridDBSCAN().fit(pts, eps, minpts).labels, want)
+    placements = [("locality", 1), ("locality", 2), ("locality", 4),
+                  ("round-robin", 2), ("round-robin", 4)]
+    for placement, n_devices in placements:
+        res = cluster_sharded(
+            pts, eps, minpts,
+            config=ShardConfig(
+                shards_x=2, shards_y=2, n_devices=n_devices,
+                placement=placement,
+            ),
+        )
+        assert np.array_equal(res.labels, want), (placement, n_devices)
+    oom = make_shard_fault_factory([FaultSpec("device_oom")])
+    faulted = cluster_sharded(
+        pts, eps, minpts,
+        config=ShardConfig(shards_x=2, shards_y=2, fault_factory=oom),
+    )
+    assert any(e.outcome != "ok" for e in faulted.events)
+    assert np.array_equal(faulted.labels, want)
+    svc = ClusteringService()
+    svc.register_dataset("ds", pts)
+    resp = svc.submit(Request("ds", eps, minpts))
+    assert resp.status == "exact"
+    assert np.array_equal(resp.labels, want)
+    # the serial multi-variant paths; a second, coarser variant runs
+    # before (S2) or beside (sweep) the one under test
+    wide = HybridDBSCAN().fit(pts, 2 * eps, minpts).labels
+    variants = VariantSet((Variant(2 * eps, minpts), Variant(eps, minpts)))
+    pipe = MultiClusterPipeline(keep_labels=True)
+    for pipelined in (True, False):
+        run = pipe.run(pts, variants, pipelined=pipelined)
+        assert np.array_equal(run.outcomes[0].labels, wide), pipelined
+        assert np.array_equal(run.outcomes[1].labels, want), pipelined
+    reuse = cluster_with_reuse(pts, eps, [minpts, 1], keep_labels=True)
+    assert np.array_equal(reuse.outcomes[0].labels, want)
+    sweep = cluster_eps_sweep(pts, [eps, 2 * eps], minpts, keep_labels=True)
+    assert np.array_equal(sweep.outcomes[0].labels, want)
+    assert np.array_equal(sweep.outcomes[1].labels, wide)
+
 
 def _valid_points():
     return np.random.default_rng(11).random((40, 2)) * 2
@@ -312,37 +416,14 @@ class TestImplementationEquivalence:
         "case", list(ADVERSARIAL), ids=list(ADVERSARIAL)
     )
     def test_adversarial_inputs_agree(self, case):
-        """Degenerate inputs: the primitive, the expand oracle, the
-        device path, the sharded executor at 1, 2 and 4 devices (also
-        with an injected shard OOM) and an exact service answer all
-        produce the same labels."""
-        pts, eps, minpts = ADVERSARIAL[case]()
-        grid, table = build_table(pts, eps)
-        a = dbscan_from_table_expand(table, minpts)
-        b = dbscan_from_table(table, minpts)
-        c = dbscan_from_table_device(table, minpts)
-        assert np.array_equal(a, b)
-        assert np.array_equal(b, c)
-        want = np.empty_like(b)
-        want[grid.sort_order] = b
-        for n_devices in (1, 2, 4):
-            res = cluster_sharded(
-                pts, eps, minpts,
-                config=ShardConfig(shards_x=2, shards_y=2, n_devices=n_devices),
-            )
-            assert np.array_equal(res.labels, want), n_devices
-        oom = make_shard_fault_factory([FaultSpec("device_oom")])
-        faulted = cluster_sharded(
-            pts, eps, minpts,
-            config=ShardConfig(shards_x=2, shards_y=2, fault_factory=oom),
-        )
-        assert any(e.outcome != "ok" for e in faulted.events)
-        assert np.array_equal(faulted.labels, want)
-        svc = ClusteringService()
-        svc.register_dataset("ds", pts)
-        resp = svc.submit(Request("ds", eps, minpts))
-        assert resp.status == "exact"
-        assert np.array_equal(resp.labels, want)
+        """Degenerate inputs: every clustering path gives the same
+        labels (see :func:`_assert_all_paths_agree`)."""
+        _assert_all_paths_agree(*ADVERSARIAL[case]())
+
+    @given(adversarial_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_property_adversarial_inputs_agree(self, case):
+        _assert_all_paths_agree(*case)
 
     def test_cluster_counts_always_agree(self, blobs_points):
         _, table = build_table(blobs_points, 0.4)

@@ -4,7 +4,7 @@ Each test constructs a known-bad program — a cross-stream race, a
 double-free, a result-buffer overflow, a skipped block barrier — and
 asserts the sanitizer raises the *right* structured error.  The
 no-false-positive tests at the bottom run the full batched hybrid
-pipeline (3 streams) and the threads-mode multi-variant pipeline under
+pipeline (3 streams) and the pipelined multi-variant run under
 ``sanitize=True`` and require a clean report.
 """
 
@@ -294,10 +294,10 @@ class TestNoFalsePositives:
         assert h.device.close().clean
 
     def test_threads_pipeline_clean(self):
-        """Producer/consumer threads mode under the sanitizer."""
+        """A pipelined run: several builds on one sanitized device."""
         pipe = MultiClusterPipeline(sanitize=True, n_consumers=2)
         variants = VariantSet.eps_sweep([0.4, 0.6], minpts=4)
-        result = pipe.run(_blobs(300), variants, mode="threads")
+        result = pipe.run(_blobs(300), variants, pipelined=True)
         assert len(result.outcomes) == 2
         assert pipe.hybrid.device.close().clean
 
