@@ -10,19 +10,45 @@ into ``B`` (the keys are consumed as run boundaries only — the paper's
 "we only copy the values" optimization), and the ranges of the keys in
 that batch are set.  Every point's whole neighborhood is produced by a
 single batch, so ranges never straddle batches.
+
+The ranges tile ``B`` without gaps, so every whole-table edge
+enumeration walks ``B`` in storage order: the row ids sorted by
+``T_min``, each repeated over its range, pair with ``B`` itself — no
+per-entry range expansion and no gather.  :meth:`NeighborTable.half_edges`
+memoizes the ``u < v`` half of that enumeration with both endpoint
+degrees, the ``minpts``-independent input of every table-DBSCAN call.
 """
 
 from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from repro._nputil import expand_ranges, run_boundaries
 
-__all__ = ["NeighborTable"]
+__all__ = ["HalfEdges", "NeighborTable"]
+
+
+class HalfEdges(NamedTuple):
+    """The edges ``u < v`` of ``T`` in ``B`` order, with the degrees
+    ``|N_ε(u)|`` and ``|N_ε(v)|`` of both endpoints.
+
+    Ids are ``int32`` (``int64`` past 2**31 points) and degrees the
+    smallest unsigned type holding the largest degree: a cached table
+    holds its view for as long as it serves hits.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    deg_src: np.ndarray
+    deg_dst: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self)
 
 
 class NeighborTable:
@@ -43,6 +69,7 @@ class NeighborTable:
         self._cursor = 0
         self._values: Optional[np.ndarray] = None
         self._dist: Optional[np.ndarray] = None
+        self._half: Optional[HalfEdges] = None
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -157,21 +184,66 @@ class NeighborTable:
         counts[self.t_min < 0] = 0
         return counts
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the ranges, ``B``, the distance column of an
+        annotated table and the half-edge view once it is built."""
+        arrays = [self.t_min, self.t_max, self.values]
+        if self.with_distances:
+            arrays.append(self.distances)
+        half = self._half.nbytes if self._half is not None else 0
+        return sum(a.nbytes for a in arrays) + half
+
+    def _rows_in_b_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ids of the points that own a range, sorted by ``T_min``,
+        and their range lengths."""
+        rows = np.flatnonzero(self.t_min >= 0)
+        rows = rows[np.argsort(self.t_min[rows])]
+        return rows, self.t_max[rows] - self.t_min[rows] + 1
+
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """All (source, neighbor) pairs as two flat arrays."""
+        """All (source, neighbor) pairs as two flat arrays, in ``B``
+        order (the neighbor array is ``B`` itself: do not write to it)."""
         src, dst, _ = self.edges_with_positions()
         return src, dst
 
     def edges_with_positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All (source, neighbor, B-position) triples.
+        """All (source, neighbor, B-position) triples, in ``B`` order.
 
         The positions index ``B`` (and the ``distances`` column of an
         annotated table), letting callers filter edges by distance.
         """
-        src, flat = expand_ranges(
-            np.arange(self.n_points, dtype=np.int64), self.t_min, self.t_max
-        )
-        return src, self.values[flat], flat
+        rows, counts = self._rows_in_b_order()
+        values = self.values
+        return np.repeat(rows, counts), values, np.arange(len(values))
+
+    def half_edges(self) -> HalfEdges:
+        """The memoized :class:`HalfEdges` view, built on first use.
+
+        ``T`` is symmetric, so the ``u < v`` half holds every undirected
+        edge once; the degrees let a caller select the core–core and
+        border edges at any ``minpts`` with two comparisons.
+        """
+        values = self.values  # finalizes, under the lock, first
+        with self._lock:
+            if self._half is None:
+                self._half = self._build_half_edges(values)
+            return self._half
+
+    def release_half_edges(self) -> None:
+        """Drop the memoized view; the next :meth:`half_edges` rebuilds it."""
+        with self._lock:
+            self._half = None
+
+    def _build_half_edges(self, values: np.ndarray) -> HalfEdges:
+        ids = np.int32 if self.n_points <= np.iinfo(np.int32).max else np.int64
+        rows, counts = self._rows_in_b_order()
+        src = np.repeat(rows.astype(ids), counts)
+        upper = src < values
+        src, dst = src[upper], values[upper].astype(ids)
+        deg = self.neighbor_counts()
+        deg = deg.astype(np.min_scalar_type(int(deg.max())))
+        return HalfEdges(src, dst, deg[src], deg[dst])
 
     def edges_for(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(source, neighbor) pairs restricted to source ids ``ids``."""

@@ -6,14 +6,23 @@ of the core–core graph (core points adjacent iff within ε), with every
 border point joining the cluster of its **lowest-id core neighbor**.
 
 ``cluster_edges``
-    The one host implementation of that rule, over any symmetric edge
-    list: vectorized min-label hooking with pointer jumping
-    (:func:`union_edges`) over the core–core edges, then border
-    attachment (:func:`attach_borders`).  Every host path builds on it —
-    :func:`dbscan_from_table`, :func:`dbscan_from_annotated_table`
-    (edges filtered to a sub-ε), the per-shard reduce in
-    :mod:`repro.core.sharding`, and the incremental shard merge in
-    :mod:`repro.core.placement`.
+    That rule over any symmetric edge list: vectorized min-label
+    hooking with pointer jumping (:func:`union_edges`) over the
+    core–core edges, then border attachment (:func:`attach_borders`).
+    :func:`dbscan_from_annotated_table` (edges filtered to a sub-ε), the
+    per-shard reduce in :mod:`repro.core.sharding` and the incremental
+    shard merge in :mod:`repro.core.placement` build on it.
+
+``dbscan_from_table``
+    The production path, the same rule over the table's memoized
+    half-edge view (:meth:`NeighborTable.half_edges`): every edge
+    ``u < v`` once, in ``B`` order, with both endpoint degrees.  The
+    view depends on ``T`` alone, so it is built once per table and each
+    ``minpts`` (S3's variants, the service's table-tier hits) costs two
+    degree comparisons per half-edge: core–core half-edges go to
+    :func:`union_edges`, the two orientations of the border half-edges
+    to :func:`attach_borders`.  A ``minpts`` above every degree is all
+    noise and never builds the view.
 
 ``dbscan_from_table_expand``
     A faithful adaptation of Algorithm 1 — sequential seed-point loop
@@ -136,10 +145,16 @@ def union_edges(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     can form, and on return every entry is the lowest id of its
     component whatever the edge order.
     """
+    # index with intp: narrower ids would be converted on every gather
+    a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
     while len(a):
-        ra, rb = parent[a], parent[b]
+        hi, rb = parent[a], parent[b]
+        lo = np.minimum(hi, rb)
+        np.maximum(hi, rb, out=hi)  # in place: one root array fewer alive
+        del rb
         # an edge inside one tree hooks its root under itself: a no-op
-        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        np.minimum.at(parent, hi, lo)
+        del hi, lo
         while True:
             jumped = parent[parent]
             if np.array_equal(jumped, parent):
@@ -162,6 +177,7 @@ def attach_borders(
     ``BorderAttach`` kernel records it.
     """
     n = len(is_core)
+    src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
     raw = np.where(is_core, roots, NOISE)
     b = ~is_core[src] & is_core[dst]
     lowest = np.full(n, n, dtype=np.int64)
@@ -177,14 +193,13 @@ def cluster_edges(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Algorithm 4's clustering rule over a symmetric edge list.
 
-    The one host primitive every clustering path builds on: components
-    of the core–core edges (:func:`union_edges`; ``T`` is symmetric, so
-    only the ``src < dst`` direction of each edge is kept), then border
-    attachment (:func:`attach_borders`).  Returns ``(raw, attach)``:
-    ``raw`` is, per point, the minimum core id of its component (borders
-    take their attach core's) or -1 for noise — the device path's
-    ``raw_labels`` exactly; :func:`canonicalize_labels` turns it into
-    the final labels.
+    Components of the core–core edges (:func:`union_edges`; ``T`` is
+    symmetric, so only the ``src < dst`` direction of each edge is
+    kept), then border attachment (:func:`attach_borders`).  Returns
+    ``(raw, attach)``: ``raw`` is, per point, the minimum core id of its
+    component (borders take their attach core's) or -1 for noise — the
+    device path's ``raw_labels`` exactly; :func:`canonicalize_labels`
+    turns it into the final labels.
     """
     parent = np.arange(len(is_core), dtype=np.int64)
     cc = is_core[src] & is_core[dst] & (src < dst)
@@ -218,9 +233,21 @@ def dbscan_from_annotated_table(
 
 
 def dbscan_from_table(table: NeighborTable, minpts: int) -> np.ndarray:
-    """DBSCAN over ``T`` with :func:`cluster_edges` (the production path)."""
+    """DBSCAN over ``T`` from its half-edge view (the production path)."""
     is_core = core_mask(table, minpts)
-    if not is_core.any():  # all noise: skip expanding T's rows
+    if not is_core.any():  # all noise: leave the half-edge view unbuilt
         return np.full(table.n_points, NOISE, dtype=np.int64)
-    src, dst = table.edges()
-    return canonicalize_labels(cluster_edges(is_core, src, dst)[0])
+    half = table.half_edges()
+    core_u = half.deg_src >= minpts
+    core_v = half.deg_dst >= minpts
+    # roots in the view's narrow id type: half the bytes per union round
+    parent = np.arange(table.n_points, dtype=half.src.dtype)
+    cc = core_u & core_v
+    union_edges(parent, half.src[cc], half.dst[cc])
+    # a border half-edge joins a non-core and a core point; attach
+    # wants it oriented border -> core
+    to_v = core_v & ~core_u
+    to_u = core_u & ~core_v
+    src = np.concatenate((half.src[to_v], half.dst[to_u]))
+    dst = np.concatenate((half.dst[to_v], half.src[to_u]))
+    return canonicalize_labels(attach_borders(is_core, parent, src, dst)[0])

@@ -84,8 +84,8 @@ class TableEntry:
 
     @property
     def nbytes(self) -> int:
-        t = self.table
-        return int(t.values.nbytes + t.t_min.nbytes + t.t_max.nbytes)
+        """The table's bytes, its half-edge view included once built."""
+        return self.table.nbytes
 
 
 @dataclass
@@ -218,7 +218,11 @@ class ResultCache:
     ) -> int:
         """Drop the dataset's entries older than ``current_epoch -
         keep_epochs`` (called on epoch bump; the kept window is what
-        stale degraded serving may still reach).  Returns drop count."""
+        stale degraded serving may still reach).  Returns drop count.
+
+        Kept tables of older epochs also release their half-edge views:
+        only a fresh table hit clusters often enough to repay one, and a
+        stale hit builds it again."""
         floor = int(current_epoch) - int(keep_epochs)
         t_dead = [
             k for k in self._tables if k[0] == dataset_id and k[1] < floor
@@ -230,6 +234,9 @@ class ResultCache:
             del self._tables[k]
         for k in l_dead:
             del self._labels[k]
+        for (ds, epoch, _), entry in self._tables.items():
+            if ds == dataset_id and epoch < current_epoch:
+                entry.table.release_half_edges()
         self.stats.invalidated += len(t_dead) + len(l_dead)
         return len(t_dead) + len(l_dead)
 

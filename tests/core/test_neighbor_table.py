@@ -90,6 +90,33 @@ class TestQueries:
         src, dst = t.edges()
         assert sorted(zip(src.tolist(), dst.tolist(), strict=True)) == sorted(pairs)
 
+    def test_edges_walk_b_in_storage_order(self):
+        # odd keys land in B before even keys, and point 4 owns no range
+        t = NeighborTable(5, eps=1.0)
+        t.add_batch(np.array([1, 1, 3, 3]), np.array([1, 2, 3, 2]))
+        t.add_batch(np.array([0, 2, 2, 2]), np.array([0, 1, 2, 3]))
+        t.finalize()
+        src, dst, pos = t.edges_with_positions()
+        assert pos.tolist() == list(range(t.total_pairs))
+        assert np.array_equal(dst, t.values)
+        rows = [(i, j) for i in range(5) for j in t.neighbors(i).tolist()]
+        assert sorted(zip(src.tolist(), dst.tolist(), strict=True)) == sorted(rows)
+        assert np.array_equal(src, t.edges()[0])
+
+    def test_half_edges_hold_each_undirected_edge_once(self):
+        pairs = [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2), (2, 3), (3, 2), (3, 3)]
+        t = table_from_pairs(5, pairs)
+        half = t.half_edges()
+        assert sorted(zip(half.src.tolist(), half.dst.tolist(), strict=True)) == [
+            (0, 2), (2, 3)
+        ]
+        deg = t.neighbor_counts()
+        assert np.array_equal(half.deg_src, deg[half.src])
+        assert np.array_equal(half.deg_dst, deg[half.dst])
+        assert half.src.dtype == half.dst.dtype == np.int32
+        assert half.deg_src.dtype == half.deg_dst.dtype == np.uint8
+        assert t.half_edges() is half  # memoized
+
     def test_edges_for_subset(self):
         pairs = [(0, 0), (0, 2), (1, 1), (2, 0)]
         t = table_from_pairs(3, pairs)

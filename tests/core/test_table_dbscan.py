@@ -10,6 +10,7 @@ from repro.core import (
     NOISE,
     HybridDBSCAN,
     MultiClusterPipeline,
+    NeighborTable,
     ShardConfig,
     Variant,
     VariantSet,
@@ -134,17 +135,24 @@ def adversarial_cases(draw):
 def _assert_all_paths_agree(pts, eps, minpts):
     """The primitive, the expand oracle, the device path, ``fit``, the
     sharded executor (locality at 1, 2 and 4 devices, round-robin at 2
-    and 4, and with an injected shard OOM), an exact service answer,
-    both S2 pipeline runs, S3 reuse and the multi-ε sweep all produce
-    the same labels."""
+    and 4, and with an injected shard OOM), an exact service answer on a
+    miss and on a table hit, both S2 pipeline runs, S3 reuse (also over
+    ``minpts`` 1, the maximum degree and one above it, shuffled) and the
+    multi-ε sweep all produce the same labels."""
     grid, table = build_table(pts, eps)
     a = dbscan_from_table_expand(table, minpts)
     b = dbscan_from_table(table, minpts)
     c = dbscan_from_table_device(table, minpts)
     assert np.array_equal(a, b)
     assert np.array_equal(b, c)
-    want = np.empty_like(b)
-    want[grid.sort_order] = b
+
+    def oracle(m):
+        """The expand oracle's labels at ``m``, in input point order."""
+        labels = np.empty_like(b)
+        labels[grid.sort_order] = dbscan_from_table_expand(table, m)
+        return labels
+
+    want = oracle(minpts)
     assert np.array_equal(HybridDBSCAN().fit(pts, eps, minpts).labels, want)
     placements = [("locality", 1), ("locality", 2), ("locality", 4),
                   ("round-robin", 2), ("round-robin", 4)]
@@ -169,6 +177,14 @@ def _assert_all_paths_agree(pts, eps, minpts):
     resp = svc.submit(Request("ds", eps, minpts))
     assert resp.status == "exact"
     assert np.array_equal(resp.labels, want)
+    # a table-tier hit: another minpts builds and caches T first
+    hit_svc = ClusteringService()
+    hit_svc.register_dataset("ds", pts)
+    first = hit_svc.submit(Request("ds", eps, minpts + 1))
+    assert np.array_equal(first.labels, oracle(minpts + 1))
+    hit = hit_svc.submit(Request("ds", eps, minpts))
+    assert (hit.status, hit.cache) == ("exact", "table_hit")
+    assert np.array_equal(hit.labels, want)
     # the serial multi-variant paths; a second, coarser variant runs
     # before (S2) or beside (sweep) the one under test
     wide = HybridDBSCAN().fit(pts, 2 * eps, minpts).labels
@@ -178,8 +194,12 @@ def _assert_all_paths_agree(pts, eps, minpts):
         run = pipe.run(pts, variants, pipelined=pipelined)
         assert np.array_equal(run.outcomes[0].labels, wide), pipelined
         assert np.array_equal(run.outcomes[1].labels, want), pipelined
-    reuse = cluster_with_reuse(pts, eps, [minpts, 1], keep_labels=True)
-    assert np.array_equal(reuse.outcomes[0].labels, want)
+    max_deg = int(table.neighbor_counts().max())
+    minpts_values = [1, minpts, max_deg, max_deg + 1]
+    np.random.default_rng(minpts).shuffle(minpts_values)
+    reuse = cluster_with_reuse(pts, eps, minpts_values, keep_labels=True)
+    for m, outcome in zip(minpts_values, reuse.outcomes, strict=True):
+        assert np.array_equal(outcome.labels, oracle(m)), m
     sweep = cluster_eps_sweep(pts, [eps, 2 * eps], minpts, keep_labels=True)
     assert np.array_equal(sweep.outcomes[0].labels, want)
     assert np.array_equal(sweep.outcomes[1].labels, wide)
@@ -476,3 +496,63 @@ class TestMonotonicity:
             if prev_members is not None:
                 assert members <= prev_members
             prev_members = members
+
+
+@pytest.fixture
+def view_builds(monkeypatch):
+    """One entry (the table) per half-edge view built during the test."""
+    built = []
+    build = NeighborTable._build_half_edges
+
+    def counting_build(self, values):
+        built.append(self)
+        return build(self, values)
+
+    monkeypatch.setattr(NeighborTable, "_build_half_edges", counting_build)
+    return built
+
+
+class TestHalfEdgeView:
+    """``dbscan_from_table`` clusters every ``minpts`` from one memoized,
+    ``minpts``-independent half-edge view per table."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_any_minpts_order_matches_fresh_tables(self, blobs_points, seed):
+        _, table = build_table(blobs_points, 0.4)
+        max_deg = int(table.neighbor_counts().max())
+        grid_values = np.unique(np.linspace(1, max_deg + 1, 12).astype(int))
+        for m in np.random.default_rng(seed).permutation(grid_values):
+            _, fresh = build_table(blobs_points, 0.4)
+            assert np.array_equal(
+                dbscan_from_table(table, m), dbscan_from_table(fresh, m)
+            ), m
+
+    def test_view_built_once_per_table(self, blobs_points, view_builds):
+        grid, table = build_table(blobs_points, 0.4)
+        for m in (4, 16, 2, 4):
+            dbscan_from_table(table, m)
+            HybridDBSCAN().cluster_table(grid, table, m)
+        assert view_builds == [table]
+        cluster_with_reuse(blobs_points, 0.4, [8, 2, 16])
+        assert len(view_builds) == 2
+        svc = ClusteringService()
+        svc.register_dataset("ds", blobs_points)
+        caches = [
+            svc.submit(Request("ds", 0.4, m)).cache for m in (4, 8, 16, 2)
+        ]
+        assert caches == ["miss", "table_hit", "table_hit", "table_hit"]
+        assert len(view_builds) == 3
+
+    def test_all_noise_never_builds_view(self, blobs_points, view_builds):
+        _, table = build_table(blobs_points, 0.4)
+        above = int(table.neighbor_counts().max()) + 1
+        nbytes = table.nbytes
+        assert (dbscan_from_table(table, above) == NOISE).all()
+        assert table.nbytes == nbytes
+        # the service's miss path: build T, cluster, cache T
+        svc = ClusteringService()
+        svc.register_dataset("ds", blobs_points)
+        resp = svc.submit(Request("ds", 0.4, above))
+        assert (resp.status, resp.cache) == ("exact", "miss")
+        assert (resp.labels == NOISE).all()
+        assert view_builds == []

@@ -50,6 +50,17 @@ class TestTableTier:
     def test_nbytes_positive(self, blobs_points):
         assert _entry(blobs_points, 0.5, 0).nbytes > 0
 
+    def test_table_bytes_count_the_half_edge_view(self, blobs_points):
+        c = ResultCache()
+        entry = _entry(blobs_points, 0.5, 0)
+        c.put_table("ds", entry)
+        t = entry.table
+        ranges = t.values.nbytes + t.t_min.nbytes + t.t_max.nbytes
+        assert entry.nbytes == c.table_bytes == ranges
+        half = t.half_edges()  # what the first table hit builds
+        assert half.nbytes > 0
+        assert entry.nbytes == c.table_bytes == ranges + half.nbytes
+
 
 class TestStale:
     def test_stale_prefers_newest_older_epoch(self):
@@ -80,6 +91,20 @@ class TestStale:
             "ds", 4, 0.5, 4
         )[0] == 3
         assert c.stats.invalidated == 3
+
+    def test_stale_tables_release_their_half_edge_views(self, blobs_points):
+        c = ResultCache()
+        old, fresh = _entry(blobs_points, 0.5, 0), _entry(blobs_points, 0.5, 1)
+        c.put_table("ds", old)
+        c.put_table("ds", fresh)
+        old_bytes, fresh_bytes = old.nbytes, fresh.nbytes
+        old.table.half_edges()
+        half = fresh.table.half_edges()
+        c.evict_older("ds", 1, keep_epochs=1)
+        assert c.n_tables == 2  # both epochs stay servable
+        assert old.nbytes == old_bytes  # the stale view is released
+        assert fresh.table.half_edges() is half  # the fresh one is kept
+        assert c.table_bytes == old_bytes + fresh_bytes + half.nbytes
 
     def test_evict_older_scoped_to_dataset(self):
         c = ResultCache()
